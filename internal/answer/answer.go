@@ -15,16 +15,17 @@
 //     scan the most selective attribute's slice instead of the store,
 //   - column-major attribute columns (raw values widened to float64
 //     and unit-normalized), so scoring is a fused per-column sweep
-//     over contiguous memory instead of a row-pointer chase,
-//   - contiguous shards, so very large candidate scans fan out across
-//     goroutines with a deterministic merge.
+//     over contiguous memory instead of a row-pointer chase.
 //
-// The serving hot path is allocation-free at steady state: scratch
-// buffers (candidate lists, score columns, selection windows) are
-// reused through a sync.Pool, winner scores are threaded from
+// One kernel answers every top-k request (see batch.go): TopK and
+// TopKAppend are single-query calls into the fused sweep behind
+// TopKBatch. Its hot path is allocation-free at steady state: all
+// working buffers (candidate lists, score rows, selection windows)
+// live in one pooled scratch block, winner scores are threaded from
 // selection to the answer instead of being recomputed, and TopKAppend
-// lets a caller reuse its result slice across requests. Requests below
-// a calibrated candidate threshold never spawn a goroutine.
+// lets a caller reuse its result slice across requests. Only candidate
+// sets past a calibrated threshold fan out across goroutines, in
+// contiguous shard-wide ranges merged deterministically.
 //
 // A Store is immutable after Build; every method is safe for unbounded
 // concurrent use. Handle adds the lock-free hot-swap used by skylined:
@@ -53,7 +54,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"hiddensky/internal/obs"
@@ -76,20 +76,7 @@ type Options struct {
 	// the largest k for which unfiltered top-k answers are exact.
 	// <= 0 means 1 (a plain skyline).
 	BandK int
-	// ShardSize bounds how many tuples one goroutine scores during a
-	// scan (<= 0: a default of 2048). Candidate sets smaller than one
-	// shard — or smaller than the goroutine-spawn threshold below —
-	// are scored inline.
-	ShardSize int
 }
-
-// minParallelCandidates is the calibrated candidate-count threshold
-// below which selectTopK never spawns goroutines: under ~8k candidates
-// the fused column sweep finishes in single-digit microseconds, so the
-// goroutine + WaitGroup machinery costs more than it saves (measured
-// by BenchmarkStoreTopKUnfiltered / internal/perf). Candidate sets
-// must exceed both this and Options.ShardSize to fan out.
-const minParallelCandidates = 1 << 13
 
 // Store is the immutable materialized answer index.
 type Store struct {
@@ -97,7 +84,7 @@ type Store struct {
 	flat   []int   // the row arena backing tuples; never mutated
 	m      int
 	bandK  int
-	shard  int
+	shard  int // fan-out range width (shardSize; tests narrow it)
 
 	level []int // level[i] = skyline layer of tuples[i]
 	// The layered levels, flattened: levelArena[levelOff[l]:levelOff[l+1]]
@@ -183,13 +170,7 @@ func Build(tuples [][]int, opt Options) (*Store, error) {
 		copy(row, t)
 		rows[i] = row
 	}
-	s := &Store{tuples: rows, flat: flat, m: m, bandK: opt.BandK, shard: opt.ShardSize}
-	if s.bandK <= 0 {
-		s.bandK = 1
-	}
-	if s.shard <= 0 {
-		s.shard = 2048
-	}
+	s := &Store{tuples: rows, flat: flat, m: m, bandK: max(opt.BandK, 1), shard: shardSize}
 	s.buildLevels()
 	s.buildProjections()
 	s.buildColumns()
@@ -357,36 +338,6 @@ type TopKResult struct {
 	Exact bool
 }
 
-// scratch is the per-request working set, pooled so a steady serving
-// load allocates nothing: the candidate buffer (filtered requests),
-// the score column, the selection window, and the shard-merge area.
-type scratch struct {
-	cand     []int
-	scores   []float64
-	win      []int
-	winSc    []float64
-	merged   []int
-	mergedSc []float64
-	counts   []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// growInts returns b with length n (reallocating only beyond capacity).
-func growInts(b []int, n int) []int {
-	if cap(b) < n {
-		return make([]int, n)
-	}
-	return b[:n]
-}
-
-func growFloats(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
-	}
-	return b[:n]
-}
-
 // TopK answers a top-k request. Ties are broken by tuple values
 // (lexicographically) for determinism regardless of sharding.
 func (s *Store) TopK(q TopKQuery) (TopKResult, error) {
@@ -395,11 +346,12 @@ func (s *Store) TopK(q TopKQuery) (TopKResult, error) {
 
 // TopKAppend is TopK appending the answer onto dst (which may be a
 // retained buffer from a previous request; its length is reset first).
-// With cap(dst) >= k the unfiltered hot path performs no allocation:
-// candidates are a zero-copy arena slice, scoring and selection run in
-// pooled scratch, and the returned Ranked tuples alias the store's
-// immutable rows. The timing wrapper is an explicit call, not a
-// deferred closure, so instrumentation keeps the path at 0 allocs/op.
+// It is a one-query call into the batch kernel, so with cap(dst) >= k
+// it performs no allocation: unfiltered candidates are a zero-copy
+// arena slice, scoring and selection run in pooled scratch, and the
+// returned Ranked tuples alias the store's immutable rows. The timing
+// wrapper is an explicit call, not a deferred closure, so
+// instrumentation keeps the path at 0 allocs/op.
 func (s *Store) TopKAppend(q TopKQuery, dst []Ranked) (TopKResult, error) {
 	m := s.metrics
 	if m == nil || m.TopKSeconds == nil {
@@ -415,35 +367,18 @@ func (s *Store) topKAppend(q TopKQuery, dst []Ranked) (TopKResult, error) {
 	if err := s.checkQuery(&q); err != nil {
 		return TopKResult{}, err
 	}
-	sc := scratchPool.Get().(*scratch)
-	var cand []int
-	if len(q.Filter) == 0 {
-		// The top-k of a monotone score lies in the first k layers: every
-		// layer-l tuple is dominated by a chain of l strictly better ones.
-		last := q.K
-		if last > s.numLevels() {
-			last = s.numLevels()
-		}
-		cand = s.levelArena[:s.levelOff[last]]
-	} else {
-		sc.cand = s.filteredInto(sc.cand[:0], q.Filter)
-		cand = sc.cand
-	}
-	idx, scores := s.selectTopK(cand, &q, q.K, sc)
-	items := dst[:0]
-	for x, i := range idx {
-		items = append(items, Ranked{Tuple: s.tuples[i], Score: scores[x], Level: s.level[i]})
-	}
-	scratchPool.Put(sc)
-	if len(items) == 0 {
-		items = nil
-	}
-	exact := len(q.Filter) == 0 && q.K <= s.bandK
-	return TopKResult{Items: items, Exact: exact}, nil
+	bs := batchScratchPool.Get().(*batchScratch)
+	bs.one[0], bs.oneOut[0] = q, TopKResult{Items: dst[:0]}
+	s.answer(bs, bs.one[:], bs.oneOut[:])
+	res := bs.oneOut[0]
+	// Drop the caller's buffers before the scratch goes back to the pool.
+	bs.one[0], bs.oneOut[0] = TopKQuery{}, TopKResult{}
+	batchScratchPool.Put(bs)
+	return res, nil
 }
 
 // checkQuery validates a full request: weights, k, and filter ranges.
-// Shared by the arena path and the retained reference so the two can
+// Shared by the kernel and the retained reference so the two can
 // never diverge on what they reject.
 func (s *Store) checkQuery(q *TopKQuery) error {
 	if err := s.checkWeights(q.Weights); err != nil {
@@ -482,30 +417,6 @@ func (s *Store) checkWeights(w []float64) error {
 	return nil
 }
 
-// scoreInto computes the request's score for every candidate as a fused
-// column sweep: one pass per positively-weighted attribute over a
-// contiguous float64 column. dst[j] receives the score of cand[j].
-// Summation runs in ascending attribute order, exactly like the
-// row-major reference, so results are bit-identical (skipped zero
-// weights contribute +0.0, which never changes a non-negative sum).
-// cols is s.cols or s.norm; weights is passed bare (not *TopKQuery) so
-// the parallel fan-out's goroutines never force the request struct to
-// escape — the inline hot path must stay allocation-free.
-func scoreInto(dst []float64, cand []int, weights []float64, cols [][]float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	for a, w := range weights {
-		if w == 0 {
-			continue
-		}
-		col := cols[a]
-		for j, i := range cand {
-			dst[j] += w * col[i]
-		}
-	}
-}
-
 // filtered returns the candidate indices matching every range. It scans
 // the most selective constrained attribute's sorted projection slice
 // (found by binary search) and checks the remaining constraints there.
@@ -515,19 +426,24 @@ func (s *Store) filtered(filter []Range) []int {
 
 // filteredInto is filtered appending into a reusable buffer.
 func (s *Store) filteredInto(out []int, filter []Range) []int {
-	bestAttr, bestFrom, bestTo := -1, 0, len(s.tuples)
-	for _, r := range filter {
+	best, bestFrom, bestTo := -1, 0, len(s.tuples)
+	for x, r := range filter {
 		p := s.proj[r.Attr]
 		from := sort.Search(len(p), func(i int) bool { return s.tuples[p[i]][r.Attr] >= r.Lo })
 		to := sort.Search(len(p), func(i int) bool { return s.tuples[p[i]][r.Attr] > r.Hi })
-		if bestAttr < 0 || to-from < bestTo-bestFrom {
-			bestAttr, bestFrom, bestTo = r.Attr, from, to
+		if best < 0 || to-from < bestTo-bestFrom {
+			best, bestFrom, bestTo = x, from, to
 		}
 	}
-	for _, i := range s.proj[bestAttr][bestFrom:bestTo] {
-		ok := true
-		for _, r := range filter {
-			if v := s.tuples[i][r.Attr]; v < r.Lo || v > r.Hi {
+	span := s.proj[filter[best].Attr][bestFrom:bestTo]
+	if len(filter) == 1 {
+		return append(out, span...)
+	}
+	for _, i := range span {
+		row, ok := s.tuples[i], true
+		for x, r := range filter {
+			// The scanned slice already satisfies the chosen range.
+			if v := row[r.Attr]; x != best && (v < r.Lo || v > r.Hi) {
 				ok = false
 				break
 			}
@@ -537,117 +453,6 @@ func (s *Store) filteredInto(out []int, filter []Range) []int {
 		}
 	}
 	return out
-}
-
-// selectTopK scores the candidates and keeps the best k, fanning very
-// large candidate sets out across shard goroutines. The returned index
-// and score slices are views into sc and parallel to each other. The
-// merge is deterministic: ties are broken by tuple value, then index.
-func (s *Store) selectTopK(cand []int, q *TopKQuery, k int, sc *scratch) ([]int, []float64) {
-	if len(cand) == 0 {
-		return nil, nil
-	}
-	if k > len(cand) {
-		k = len(cand)
-	}
-	cols := s.cols
-	if q.Normalized {
-		cols = s.norm
-	}
-	threshold := s.shard
-	if threshold < minParallelCandidates {
-		threshold = minParallelCandidates
-	}
-	if len(cand) <= threshold {
-		sc.scores = growFloats(sc.scores, len(cand))
-		scoreInto(sc.scores, cand, q.Weights, cols)
-		sc.win = growInts(sc.win, k)
-		sc.winSc = growFloats(sc.winSc, k)
-		return s.selectWindow(cand, sc.scores, k, sc.win[:0], sc.winSc[:0])
-	}
-	return s.selectTopKParallel(cand, q.Weights, cols, k, sc)
-}
-
-// selectTopKParallel is the fan-out arm of selectTopK, kept out of the
-// inline path so its goroutine closures cannot force the request or a
-// WaitGroup to escape on small (the overwhelmingly common) requests.
-func (s *Store) selectTopKParallel(cand []int, weights []float64, cols [][]float64, k int, sc *scratch) ([]int, []float64) {
-	shards := (len(cand) + s.shard - 1) / s.shard
-	sc.merged = growInts(sc.merged, shards*k)
-	sc.mergedSc = growFloats(sc.mergedSc, shards*k)
-	sc.counts = growInts(sc.counts, shards)
-	var wg sync.WaitGroup
-	for sh := 0; sh < shards; sh++ {
-		from := sh * s.shard
-		to := from + s.shard
-		if to > len(cand) {
-			to = len(cand)
-		}
-		wg.Add(1)
-		go func(sh int, part []int) {
-			defer wg.Done()
-			local := scratchPool.Get().(*scratch)
-			local.scores = growFloats(local.scores, len(part))
-			scoreInto(local.scores, part, weights, cols)
-			local.win = growInts(local.win, k)
-			local.winSc = growFloats(local.winSc, k)
-			win, winSc := s.selectWindow(part, local.scores, k, local.win[:0], local.winSc[:0])
-			sc.counts[sh] = copy(sc.merged[sh*k:sh*k+k], win)
-			copy(sc.mergedSc[sh*k:sh*k+k], winSc)
-			scratchPool.Put(local)
-		}(sh, cand[from:to])
-	}
-	wg.Wait()
-	// Compact the per-shard winners (already scored — no re-scoring) and
-	// run one final selection over them.
-	n := 0
-	for sh := 0; sh < shards; sh++ {
-		n += copy(sc.merged[n:], sc.merged[sh*k:sh*k+sc.counts[sh]])
-		copy(sc.mergedSc[n-sc.counts[sh]:], sc.mergedSc[sh*k:sh*k+sc.counts[sh]])
-	}
-	sc.win = growInts(sc.win, k)
-	sc.winSc = growFloats(sc.winSc, k)
-	return s.selectWindow(sc.merged[:n], sc.mergedSc[:n], k, sc.win[:0], sc.winSc[:0])
-}
-
-// selectWindow keeps the (up to) k best of the pre-scored candidates by
-// insertion into a small ordered window — O(n·k) with k tiny, no
-// allocation (win/winSc must have capacity k and length 0). The winner
-// scores ride along, so nothing downstream re-scores.
-func (s *Store) selectWindow(cand []int, scores []float64, k int, win []int, winSc []float64) ([]int, []float64) {
-	for j, i := range cand {
-		sc := scores[j]
-		if len(win) == k && !s.better(sc, i, winSc[k-1], win[k-1]) {
-			continue
-		}
-		pos := len(win)
-		for pos > 0 && s.better(sc, i, winSc[pos-1], win[pos-1]) {
-			pos--
-		}
-		if len(win) < k {
-			win = append(win, 0)
-			winSc = append(winSc, 0)
-		}
-		copy(win[pos+1:], win[pos:])
-		copy(winSc[pos+1:], winSc[pos:])
-		win[pos], winSc[pos] = i, sc
-	}
-	return win, winSc
-}
-
-// better reports whether candidate (sc, i) outranks (so, j): smaller
-// score first, then lexicographically smaller tuple, then index.
-func (s *Store) better(sc float64, i int, so float64, j int) bool {
-	if sc != so {
-		return sc < so
-	}
-	a, b := s.tuples[i], s.tuples[j]
-	for x := range a {
-		if a[x] != b[x] {
-			return a[x] < b[x]
-		}
-	}
-	return i < j
 }
 
 // SubspaceSkyline returns the tuples whose projection onto attrs is not

@@ -101,10 +101,11 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 		// expects.
 		data := dedupTuples(genData(rng, n, m, 40))
 		bandK := 1 + rng.Intn(8)
-		s, err := Build(bandOf(data, bandK), Options{BandK: bandK, ShardSize: 1 + rng.Intn(64)})
+		s, err := Build(bandOf(data, bandK), Options{BandK: bandK})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.shard = 1 + rng.Intn(64)
 		for rep := 0; rep < 4; rep++ {
 			w := make([]float64, m)
 			for a := range w {
@@ -155,10 +156,11 @@ func TestTopKDeterministicAcrossShardSizes(t *testing.T) {
 	w := []float64{1, 1, 1}
 	var ref []Ranked
 	for _, shard := range []int{1, 7, 64, 100000} {
-		s, err := Build(band, Options{BandK: 10, ShardSize: shard})
+		s, err := Build(band, Options{BandK: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.shard = shard
 		res, err := s.TopK(TopKQuery{Weights: w, K: 10})
 		if err != nil {
 			t.Fatal(err)

@@ -4,9 +4,9 @@ package answer
 // of single TopKAppend calls — same Items (bit-for-bit scores, same
 // tie-breaks), same Exact flags — across the randomized request grid,
 // filtered and unfiltered, on both sides of the goroutine-spawn
-// threshold. The batch path shares selectWindow and accumulates in the
-// same attribute order as scoreInto, so equality is exact, not
-// approximate.
+// threshold. TopKAppend is a one-query call into the same kernel, so
+// these suites pin grouping: a member's answer must not depend on which
+// other queries share its sweep. Equality is exact, not approximate.
 
 import (
 	"errors"
@@ -82,10 +82,11 @@ func TestTopKBatchParityRandomized(t *testing.T) {
 // filtered) plus their swap must answer identically both ways.
 func TestTopKBatchParityQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5, ShardSize: 64})
+	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.shard = 64
 	abs := func(v float64) float64 {
 		if v < 0 {
 			return -v
@@ -126,10 +127,11 @@ func TestTopKBatchParallelPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(53))
 	n := minParallelCandidates + 4000
-	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4, ShardSize: 512})
+	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.shard = 512
 	if s.Len() <= minParallelCandidates {
 		t.Fatalf("store too small to exercise the parallel path: %d", s.Len())
 	}

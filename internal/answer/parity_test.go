@@ -21,10 +21,11 @@ func parityStore(rng *rand.Rand) *Store {
 	domain := 5 + rng.Intn(60) // small domains force score ties
 	bandK := 1 + rng.Intn(8)
 	shard := 1 + rng.Intn(128)
-	s, err := Build(genData(rng, n, m, domain), Options{BandK: bandK, ShardSize: shard})
+	s, err := Build(genData(rng, n, m, domain), Options{BandK: bandK})
 	if err != nil {
 		panic(err)
 	}
+	s.shard = shard
 	return s
 }
 
@@ -95,10 +96,11 @@ func TestTopKParityRandomized(t *testing.T) {
 // window) combination answers identically on both paths.
 func TestTopKParityQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5, ShardSize: 64})
+	s, err := Build(genData(rng, 300, 3, 25), Options{BandK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.shard = 64
 	prop := func(w0, w1, w2 float64, k uint8, normalized bool, fAttr uint8, fLo int8, fSpan uint8) bool {
 		abs := func(v float64) float64 {
 			if v < 0 {
@@ -138,10 +140,11 @@ func TestTopKParityParallelPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(43))
 	n := minParallelCandidates + 4000
-	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4, ShardSize: 512})
+	s, err := Build(genData(rng, n, 3, 1000000), Options{BandK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.shard = 512
 	if s.Len() <= minParallelCandidates {
 		t.Fatalf("store too small to exercise the parallel path: %d", s.Len())
 	}
@@ -158,32 +161,48 @@ func TestTopKParityParallelPath(t *testing.T) {
 
 // TestTopKAppendReusesBuffer pins the zero-allocation contract: a caller
 // reusing its result slice and issuing the same shaped request must not
-// allocate on the unfiltered path.
+// allocate, on every arm the kernel takes for a single query: an
+// unfiltered level prefix and a range filter (candidates read through
+// the index), a filter admitting the whole store (identity sweep), and
+// the 4-attribute register kernel over gathered blocks.
 func TestTopKAppendReusesBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool; alloc counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(44))
-	s, err := Build(genData(rng, 2000, 3, 500), Options{BandK: 8})
+	s3, err := Build(genData(rng, 2000, 3, 500), Options{BandK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := []float64{1, 0.5, 2}
-	var dst []Ranked
-	// Warm the scratch pool and the destination buffer.
-	res, err := s.TopKAppend(TopKQuery{Weights: w, K: 8}, dst)
+	s4, err := Build(genData(rng, 2000, 4, 500), Options{BandK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst = res.Items
-	allocs := testing.AllocsPerRun(200, func() {
-		r, err := s.TopKAppend(TopKQuery{Weights: w, K: 8}, dst[:0])
+	for _, tc := range []struct {
+		name string
+		s    *Store
+		q    TopKQuery
+	}{
+		{"unfiltered", s3, TopKQuery{Weights: []float64{1, 0.5, 2}, K: 8}},
+		{"filtered", s3, TopKQuery{Weights: []float64{1, 0.5, 2}, K: 8, Filter: []Range{{Attr: 1, Lo: 0, Hi: 200}}}},
+		{"identity", s3, TopKQuery{Weights: []float64{1, 0.5, 2}, K: 8, Filter: []Range{Unbounded(0)}}},
+		{"register", s4, TopKQuery{Weights: []float64{1, 0.5, 2, 0.25}, K: 8}},
+	} {
+		// Warm the scratch pool and the destination buffer.
+		res, err := tc.s.TopKAppend(tc.q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst = r.Items
-	})
-	if allocs != 0 {
-		t.Fatalf("unfiltered TopKAppend allocates %v per op, want 0", allocs)
+		dst := res.Items
+		allocs := testing.AllocsPerRun(200, func() {
+			r, err := tc.s.TopKAppend(tc.q, dst[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = r.Items
+		})
+		if allocs != 0 {
+			t.Fatalf("%s TopKAppend allocates %v per op, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -135,11 +135,34 @@ func BenchmarkStoreTopKFilteredReference(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreTopKFilteredSmall is the small gather-mode case: a
+// 3-attribute store (so the generic kernel, not the register one) whose
+// range filter leaves ~100 candidates, where per-call setup dominates.
+func BenchmarkStoreTopKFilteredSmall(b *testing.B) {
+	rng := rand.New(rand.NewSource(80))
+	s, err := Build(bandOf(genData(rng, 20000, 3, 1000), 10), Options{BandK: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := []float64{1, 0.5, 2}
+	f := []Range{{Attr: 0, Lo: 0, Hi: 20}}
+	var dst []Ranked
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.TopKAppend(TopKQuery{Weights: w, K: 10, Filter: f}, dst[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = res.Items
+	}
+}
+
 // BenchmarkStoreTopKSharded drives the goroutine fan-out: a store
 // larger than the spawn threshold with a filter admitting every tuple.
 func BenchmarkStoreTopKSharded(b *testing.B) {
 	rng := rand.New(rand.NewSource(78))
-	s, err := Build(genData(rng, minParallelCandidates+4000, 3, 1000000), Options{BandK: 4, ShardSize: 2048})
+	s, err := Build(genData(rng, minParallelCandidates+4000, 3, 1000000), Options{BandK: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

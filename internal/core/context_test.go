@@ -17,39 +17,42 @@ import (
 // error matches both ErrBudget (the anytime contract) and the context
 // error (the cause).
 func TestDiscoverContextCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(90))
-	data := randData(rng, 2000, 4, 30)
-	truth := tupleSet(skyline.ComputeTuples(data))
-
-	for _, par := range []int{1, 4} {
-		db := mkDB(t, data, capsAll(4, hidden.RQ), 5, hidden.SumRank{})
-		ctx, cancel := context.WithCancel(context.Background())
-		const stopAt = 10
-		var events atomic.Int64
-		opt := Options{
-			Parallelism: par,
-			Ctx:         ctx,
-			Progress: func(ev ProgressEvent) {
-				if events.Add(1) == stopAt {
-					cancel()
+	for _, seed := range []int64{90, 91, 92, 93} {
+		rng := rand.New(rand.NewSource(seed))
+		data := randData(rng, 2000, 4, 30)
+		truth := tupleSet(skyline.ComputeTuples(data))
+		for _, stopAt := range []int{1, 4, 10, 25} {
+			for _, par := range []int{1, 4} {
+				db := mkDB(t, data, capsAll(4, hidden.RQ), 5, hidden.SumRank{})
+				ctx, cancel := context.WithCancel(context.Background())
+				var events atomic.Int64
+				opt := Options{
+					Parallelism: par,
+					Ctx:         ctx,
+					Progress: func(ev ProgressEvent) {
+						if events.Add(1) == int64(stopAt) {
+							cancel()
+						}
+					},
 				}
-			},
-		}
-		res, err := Discover(db, opt)
-		cancel()
-		if !errors.Is(err, ErrBudget) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%d: err = %v, want ErrBudget wrapping context.Canceled", par, err)
-		}
-		if res.Complete {
-			t.Fatalf("parallel=%d: cancelled run claims completion", par)
-		}
-		// At most the in-flight queries finish after the cancel.
-		if res.Queries > stopAt+par {
-			t.Fatalf("parallel=%d: %d queries issued after cancelling at %d", par, res.Queries, stopAt)
-		}
-		for _, tup := range res.Skyline {
-			if !truth[fmt.Sprint(tup)] {
-				t.Fatalf("parallel=%d: non-skyline tuple %v in partial result", par, tup)
+				res, err := Discover(db, opt)
+				cancel()
+				where := fmt.Sprintf("seed=%d stopAt=%d parallel=%d", seed, stopAt, par)
+				if !errors.Is(err, ErrBudget) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: err = %v, want ErrBudget wrapping context.Canceled", where, err)
+				}
+				if res.Complete {
+					t.Fatalf("%s: cancelled run claims completion", where)
+				}
+				// At most the in-flight queries finish after the cancel.
+				if res.Queries > stopAt+par {
+					t.Fatalf("%s: %d queries issued after cancelling at %d", where, res.Queries, stopAt)
+				}
+				for _, tup := range res.Skyline {
+					if !truth[fmt.Sprint(tup)] {
+						t.Fatalf("%s: non-skyline tuple %v in partial result", where, tup)
+					}
+				}
 			}
 		}
 	}

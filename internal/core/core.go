@@ -183,6 +183,22 @@ type ctx struct {
 	sky      [][]int // current candidate skyline (mutually non-dominated)
 	merged   map[string]bool
 	trace    []TraceEvent
+
+	// open holds the R(q) lower bounds of every parallel RQ-tree node
+	// whose task has not completed (see treeWalker.spawn), keyed by an
+	// id from lastNode; origin maps a tuple key to the R(q) lower bounds
+	// of an answer that returned it (nil: a Q answer). Both feed the
+	// partial-result filter in result.
+	open     map[int]openRegion
+	lastNode int
+	origin   map[string][]int
+}
+
+// openRegion is a tree node's R(q) lower bounds: lb[j] bounds attribute
+// attrs[j] from below.
+type openRegion struct {
+	attrs []int
+	lb    []int
 }
 
 func newCtx(db Interface, opt Options) *ctx {
@@ -358,6 +374,76 @@ func appendInt(buf []byte, v int) []byte {
 	return append(buf, tmp[i:]...)
 }
 
+// openNode registers a parallel RQ-tree node as unfinished and returns
+// its id for closeNode.
+func (c *ctx) openNode(attrs, lb []int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.open == nil {
+		c.open = map[int]openRegion{}
+	}
+	c.lastNode++
+	c.open[c.lastNode] = openRegion{attrs: attrs, lb: lb}
+	return c.lastNode
+}
+
+// closeNode marks node id's task complete.
+func (c *ctx) closeNode(id int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.open, id)
+}
+
+// noteOrigin records the R(q) lower bounds lb of the answer that
+// returned ts (nil for a Q answer). A Q region is downward closed below
+// the walk's base predicates, so a tuple's dominators there rank higher
+// and come back in the same answer: such a tuple is always safe, and nil
+// overrides any earlier bounds.
+func (c *ctx) noteOrigin(ts [][]int, lb []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.origin == nil {
+		c.origin = map[string][]int{}
+	}
+	for _, t := range ts {
+		key := tupleKey(t)
+		if prev, ok := c.origin[key]; !ok || (prev != nil && lb == nil) {
+			c.origin[key] = lb
+		}
+	}
+}
+
+// openCanDominate reports whether some unfinished node's region may hold
+// an undiscovered tuple u dominating t. u <= t inside the node's R(q)
+// needs lb <= t on its branching attributes. And u lies outside the
+// region of the answer that returned t — inside it u would rank higher
+// and have come back too — so u breaks one of that answer's lower
+// bounds, which a node whose bounds are all at least as tight cannot
+// hold. Every walker of one run branches on the same attributes in the
+// same order, so lower bounds compare position by position.
+func (c *ctx) openCanDominate(t []int) bool {
+	src, ok := c.origin[tupleKey(t)]
+	if ok && src == nil {
+		return false
+	}
+	for _, r := range c.open {
+		below, looser := true, src == nil
+		for j, a := range r.attrs {
+			if r.lb[j] > t[a] {
+				below = false
+				break
+			}
+			if src != nil && r.lb[j] < src[j] {
+				looser = true
+			}
+		}
+		if below && looser {
+			return true
+		}
+	}
+	return false
+}
+
 // mergeAll folds every returned tuple into the candidate skyline.
 func (c *ctx) mergeAll(ts [][]int) {
 	for _, t := range ts {
@@ -384,6 +470,18 @@ func (c *ctx) result(err error) (Result, error) {
 		Queries:  c.queries,
 		Trace:    c.trace,
 		Complete: err == nil,
+	}
+	if err != nil && len(c.open) > 0 {
+		// A stopped parallel RQ walk: keep only the tuples no unfinished
+		// region can dominate (the rest may be displaced by a tuple the
+		// dropped tasks never fetched).
+		kept := res.Skyline[:0]
+		for _, t := range res.Skyline {
+			if !c.openCanDominate(t) {
+				kept = append(kept, t)
+			}
+		}
+		res.Skyline = kept
 	}
 	if c.pool != nil {
 		sortTuples(res.Skyline)

@@ -234,8 +234,15 @@ func (w *treeWalker) walkRQ(n node) error {
 // already-merged tuple — neither depends on which subtree finishes first.
 // Query counts may differ from the sequential run (the Seen set fills in a
 // different order) but the discovered skyline is the same set.
+//
+// A cancelled run is a different matter: an R(q) answer is skyline-safe
+// only once every subtree before it in preorder has finished, which the
+// sequential walk gets from its order and the parallel walk does not.
+// RQ-mode nodes therefore stay registered with the ctx (openNode) until
+// their task completes, and a partial result drops every tuple an
+// unfinished node's region could still dominate (see ctx.result).
 func (w *treeWalker) runOn(p *engine.Pool) {
-	p.Spawn(w.task(p, w.root()))
+	w.spawn(p, w.root())
 }
 
 // runSeededOn is runOn with the root node's answer already in hand (the
@@ -247,60 +254,80 @@ func (w *treeWalker) runSeededOn(p *engine.Pool, root hidden.Result) {
 		return
 	}
 	for _, kid := range w.children(n, root.Tuples[0]) {
-		p.Spawn(w.task(p, kid))
+		w.spawn(p, kid)
 	}
 }
 
-// task returns the pool task processing one tree node: issue the node's
-// query (or its R(q) counterpart in RQ mode) and spawn one task per child
-// subtree. It mirrors runQueue's body (SQ mode) and walkRQ's body (RQ
-// mode) exactly, with recursion replaced by Spawn.
-func (w *treeWalker) task(p *engine.Pool, n node) func() error {
-	return func() error {
-		var branch []int
-		if !w.rq || !w.anySeenMatches(n) {
-			q := w.buildQ(n)
-			if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(q) {
-				return nil
-			}
-			res, err := w.c.issue(q)
-			if err != nil {
-				return err
-			}
-			w.noteSeen(res.Tuples)
-			w.c.mergeAll(res.Tuples)
-			if !w.c.overflowed(res) {
-				return nil
-			}
-			branch = res.Tuples[0]
-		} else {
-			rq := w.buildR(n)
-			if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(rq) {
-				return nil
-			}
-			res, err := w.c.issue(rq)
-			if err != nil {
-				return err
-			}
-			if len(res.Tuples) == 0 {
-				return nil // no undiscovered tuple below this subtree: abandon
-			}
-			t0 := res.Tuples[0]
-			branch = t0
-			if s := w.c.findDominator(t0); s != nil {
-				branch = s
-			}
-			w.noteSeen(res.Tuples)
-			w.c.mergeAll(res.Tuples)
-			if !w.c.overflowed(res) {
-				return nil
-			}
-		}
-		for _, kid := range w.children(n, branch) {
-			p.Spawn(w.task(p, kid))
-		}
-		return nil
+// spawn schedules node n's task on the pool. In RQ mode the node stays
+// open with the ctx until its task completes: children are opened
+// before their parent closes, so at any moment the open nodes' R(q)
+// regions cover every skyline tuple not yet discovered.
+func (w *treeWalker) spawn(p *engine.Pool, n node) {
+	id := 0
+	if w.rq {
+		id = w.c.openNode(w.attrs, n.lb)
 	}
+	p.Spawn(func() error {
+		err := w.task(p, n)
+		if err == nil && id != 0 {
+			w.c.closeNode(id)
+		}
+		return err
+	})
+}
+
+// task processes one tree node on the pool: issue the node's query (or
+// its R(q) counterpart in RQ mode) and spawn one task per child subtree.
+// It mirrors runQueue's body (SQ mode) and walkRQ's body (RQ mode)
+// exactly, with recursion replaced by spawn.
+func (w *treeWalker) task(p *engine.Pool, n node) error {
+	var branch []int
+	if !w.rq || !w.anySeenMatches(n) {
+		q := w.buildQ(n)
+		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(q) {
+			return nil
+		}
+		res, err := w.c.issue(q)
+		if err != nil {
+			return err
+		}
+		if w.rq {
+			w.c.noteOrigin(res.Tuples, nil)
+		}
+		w.noteSeen(res.Tuples)
+		w.c.mergeAll(res.Tuples)
+		if !w.c.overflowed(res) {
+			return nil
+		}
+		branch = res.Tuples[0]
+	} else {
+		rq := w.buildR(n)
+		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(rq) {
+			return nil
+		}
+		res, err := w.c.issue(rq)
+		if err != nil {
+			return err
+		}
+		if len(res.Tuples) == 0 {
+			return nil // no undiscovered tuple below this subtree: abandon
+		}
+		t0 := res.Tuples[0]
+		branch = t0
+		if s := w.c.findDominator(t0); s != nil {
+			branch = s
+		}
+		w.c.noteOrigin(res.Tuples, n.lb)
+		w.noteSeen(res.Tuples)
+		w.c.mergeAll(res.Tuples)
+		if !w.c.overflowed(res) {
+			return nil
+		}
+	}
+	for _, kid := range w.children(n, branch) {
+		w.spawn(p, kid)
+	}
+	return nil
 }
 
 func (w *treeWalker) noteSeen(ts [][]int) {
