@@ -10,8 +10,10 @@
 package hidden
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -306,8 +308,9 @@ func (db *DB) Domains() []query.Interval {
 	return append([]query.Interval(nil), db.domains...)
 }
 
-// QueriesIssued returns the number of Query calls served so far (including
-// rejected ones counts only successful executions).
+// QueriesIssued returns the number of queries the database executed so
+// far. Queries it rejected (malformed, unsupported predicate, over the
+// rate limit) are not counted.
 func (db *DB) QueriesIssued() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -365,11 +368,24 @@ func (db *DB) queryInternal(q query.Q) (Result, [][]string, error) {
 
 	matched, overflow := db.evaluate(q)
 	out := Result{Overflow: overflow}
+	if len(matched) == 0 {
+		return out, nil, nil
+	}
+	// The rows share one flat backing array, each capped so a caller's
+	// append cannot run into the next row.
+	m := len(db.caps)
+	flat := make([]int, len(matched)*m)
+	out.Tuples = make([][]int, len(matched))
 	var filters [][]string
-	for _, i := range matched {
-		out.Tuples = append(out.Tuples, append([]int(nil), db.data[i]...))
-		if db.filters != nil {
-			filters = append(filters, db.filters[i])
+	if db.filters != nil {
+		filters = make([][]string, len(matched))
+	}
+	for j, i := range matched {
+		row := flat[j*m : (j+1)*m : (j+1)*m]
+		copy(row, db.data[i])
+		out.Tuples[j] = row
+		if filters != nil {
+			filters[j] = db.filters[i]
 		}
 	}
 	return out, filters, nil
@@ -381,7 +397,8 @@ func (db *DB) queryInternal(q query.Q) (Result, [][]string, error) {
 // broad query scans tuples best-rank-first and stops at the k+1-st match.
 func (db *DB) evaluate(q query.Q) ([]int32, bool) {
 	rs := db.ranking.Load()
-	box := q.Canonicalize(db.domains)
+	var ivArr [16]query.Interval // wider schemas allocate the box
+	box := q.CanonicalizeInto(ivArr[:0], db.domains)
 	if box.Empty() {
 		return nil, false
 	}
@@ -407,13 +424,13 @@ func (db *DB) evaluate(q query.Q) ([]int32, bool) {
 			}
 		}
 		overflow := len(matched) > db.k
-		sort.Slice(matched, func(a, b int) bool { return rs.pos[matched[a]] < rs.pos[matched[b]] })
+		slices.SortFunc(matched, func(a, b int32) int { return cmp.Compare(rs.pos[a], rs.pos[b]) })
 		if overflow {
 			matched = matched[:db.k]
 		}
 		return matched, overflow
 	}
-	var matched []int32
+	matched := make([]int32, 0, db.k+1)
 	for _, i := range rs.byRank {
 		if box.Contains(db.data[i]) {
 			matched = append(matched, i)

@@ -132,13 +132,22 @@ func TestTopKSemantics(t *testing.T) {
 }
 
 func TestReturnedTuplesAreCopies(t *testing.T) {
-	data := [][]int{{1, 2}}
-	db := MustNew(Config{Data: data, Caps: capsOf("RR"), K: 1})
+	data := [][]int{{1, 2}, {3, 4}, {5, 6}}
+	db := MustNew(Config{Data: data, Caps: capsOf("RR"), K: 2})
 	res, _ := db.Query(nil)
+	if len(res.Tuples) != 2 {
+		t.Fatalf("got %d tuples, want 2", len(res.Tuples))
+	}
 	res.Tuples[0][0] = 99
+	// The rows may share backing storage, but appending to one must not
+	// run into the next.
+	res.Tuples[0] = append(res.Tuples[0], 77, 78)
+	if fmt.Sprint(res.Tuples[1]) != "[3 4]" {
+		t.Fatalf("appending to row 0 changed row 1: %v", res.Tuples[1])
+	}
 	res2, _ := db.Query(nil)
-	if res2.Tuples[0][0] != 1 {
-		t.Fatal("caller mutation leaked into the database")
+	if fmt.Sprint(res2.Tuples) != "[[1 2] [3 4]]" || fmt.Sprint(data) != "[[1 2] [3 4] [5 6]]" {
+		t.Fatalf("caller mutation leaked into the database: answer %v, data %v", res2.Tuples, data)
 	}
 }
 
@@ -211,11 +220,12 @@ func TestEvaluatePlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reference evaluation.
+		// Reference evaluation: every match, best-ranked first (the
+		// broad plan's by-rank scan, without its early stop).
 		var match [][]int
-		for _, tup := range data {
-			if q.Matches(tup) {
-				match = append(match, tup)
+		for _, i := range db.ranking.Load().byRank {
+			if q.Matches(data[i]) {
+				match = append(match, data[i])
 			}
 		}
 		wantOverflow := len(match) > 4
@@ -228,6 +238,10 @@ func TestEvaluatePlansAgree(t *testing.T) {
 		}
 		if len(res.Tuples) != wantLen {
 			t.Fatalf("q=%v returned %d tuples want %d", q, len(res.Tuples), wantLen)
+		}
+		// Both plans must return exactly the top-k in rank order.
+		if fmt.Sprint(res.Tuples) != fmt.Sprint(match[:wantLen]) {
+			t.Fatalf("q=%v returned %v, want %v", q, res.Tuples, match[:wantLen])
 		}
 		// Domination consistency within the answer (SumRank).
 		for i := 0; i < len(res.Tuples); i++ {

@@ -18,13 +18,22 @@
 //     for the same answer twice even before it is cached.
 //
 // The store is sharded for contention-free parallel lookups: entries are
-// spread over N independent shards (each with its own mutex, LRU list and
-// in-flight table) by a hash of the compact fixed-width binary canonical
-// key, and the global hit/miss/coalesced counters are atomics — so the 8-
-// or 16-goroutine lookup storms of a parallel discovery run or a fleet
-// never serialize on one lock. Accounting stays exact: every lookup is
-// classified hit, coalesced or miss under its shard's lock, and the number
-// of misses equals the number of queries the backend actually served.
+// spread over N independent shards, each with its own mutex, LRU list and
+// one map that holds both answered boxes and boxes whose backend query is
+// still in flight. A lookup canonicalizes the query once and hashes the
+// box once (query.Box.Fingerprint, deterministic, so which entries a
+// bounded cache evicts — and hence the query count — repeats exactly);
+// that hash, mixed with the keyspace id, picks the shard and keys the
+// map. Each entry also keeps its full canonical key (the keyspace id and
+// every bound as varints), and only a full-key match serves an answer.
+// A miss allocates its key and its entry; the channel coalesced callers
+// wait on is made only when a second caller asks for the same box while
+// the first is still waiting on the backend. The global hit/miss/
+// coalesced counters are atomics, so the 8- or 16-goroutine lookup
+// storms of a parallel discovery run or a fleet never serialize on one
+// lock. Accounting stays exact: every lookup is classified hit,
+// coalesced or miss under its shard's lock, and the number of misses
+// equals the number of queries the backend actually served.
 //
 // One Cache may front many backends (a fleet shares one store and one
 // entry budget); answers are keyed per backend, so distinct databases
@@ -101,29 +110,31 @@ func (s Stats) DedupRatio() float64 {
 	return float64(s.Hits+s.Coalesced) / float64(s.Lookups)
 }
 
-// entry is one memoized answer, on its shard's LRU list.
+// entry is one canonical box's slot in its shard. A pending entry
+// stands for a backend query in flight: its first asker (the leader)
+// runs the query, later askers coalesce on it. A ready entry holds the
+// memoized answer and sits on the shard's LRU list. Entries whose hashes
+// collide chain through same; key equality decides every match.
 type entry struct {
-	key        string
+	hash       uint64        // box fingerprint mixed with the keyspace id: the map key
+	key        string        // full canonical key (varint keyspace id and bounds)
+	same       *entry        // next entry with the same hash
+	pending    bool          // backend query in flight; res and err not yet set
+	done       chan struct{} // made by the first coalescing caller, closed by the leader
 	res        hidden.Result
-	prev, next *entry
-}
-
-// call is one in-flight backend query being shared.
-type call struct {
-	done chan struct{}
-	res  hidden.Result
-	err  error
+	err        error  // the leader's failure, for its coalesced waiters
+	prev, next *entry // LRU links, ready entries only
 }
 
 // shard is one independent lock domain of the memo store: its own mutex,
-// entry map, LRU list, in-flight table and entry bound. Padded so two
-// shards' mutexes never share a cache line (false sharing would hand the
-// contention right back).
+// entry map (pending and ready entries alike), LRU list and entry bound.
+// Padded so two shards' mutexes never share a cache line (false sharing
+// would hand the contention right back).
 type shard struct {
 	mu        sync.Mutex
-	max       int // per-shard entry bound; <= 0 means unbounded
-	entries   map[string]*entry
-	inflight  map[string]*call
+	max       int // per-shard bound on ready entries; <= 0 means unbounded
+	ready     int // ready entries, all on the LRU list
+	entries   map[uint64]*entry
 	head      *entry // most recently used
 	tail      *entry // least recently used
 	evictions int64  // entries this shard dropped; guarded by mu
@@ -183,8 +194,7 @@ func New(cfg Config) *Cache {
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.entries = map[string]*entry{}
-		sh.inflight = map[string]*call{}
+		sh.entries = map[uint64]*entry{}
 		if max > 0 {
 			// Distribute the bound: the first (max % pow) shards take the
 			// remainder, so the per-shard bounds sum exactly to max (the
@@ -234,7 +244,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		out[i] = ShardStat{Entries: len(sh.entries), Evictions: int(sh.evictions)}
+		out[i] = ShardStat{Entries: sh.ready, Evictions: int(sh.evictions)}
 		sh.mu.Unlock()
 	}
 	return out
@@ -246,7 +256,7 @@ func (c *Cache) ShardStats() []ShardStat {
 func (c *Cache) ShardStat(i int) ShardStat {
 	sh := &c.shards[i]
 	sh.mu.Lock()
-	st := ShardStat{Entries: len(sh.entries), Evictions: int(sh.evictions)}
+	st := ShardStat{Entries: sh.ready, Evictions: int(sh.evictions)}
 	sh.mu.Unlock()
 	return st
 }
@@ -260,7 +270,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += sh.ready
 		sh.mu.Unlock()
 	}
 	return n
@@ -271,13 +281,6 @@ func (c *Cache) Len() int {
 // across discovery runs; distinct backends never share answers.
 func (c *Cache) Wrap(db Backend) *DB { return c.WrapAs(db, db) }
 
-// WrapAs is Wrap with an explicit identity: answers are keyed by identity
-// while queries are executed through db. Fleets use it to keep a stable
-// keyspace for a store whose querying path is re-wrapped per run (e.g. a
-// fresh budget gate each fleet call): identity is the bare store, db the
-// gated view. The caller must guarantee db answers exactly as identity
-// does (gates and instrumentation are answer-transparent; a different
-// database is not).
 // maxBindings bounds the remembered backend→keyspace identities. Beyond
 // it the oldest binding is forgotten (FIFO): its entries become
 // unreachable and age out of the LRU, and re-wrapping that backend simply
@@ -286,6 +289,13 @@ func (c *Cache) Wrap(db Backend) *DB { return c.WrapAs(db, db) }
 // filtered view per request).
 const maxBindings = 1024
 
+// WrapAs is Wrap with an explicit identity: answers are keyed by identity
+// while queries are executed through db. Fleets use it to keep a stable
+// keyspace for a store whose querying path is re-wrapped per run (e.g. a
+// fresh budget gate each fleet call): identity is the bare store, db the
+// gated view. The caller must guarantee db answers exactly as identity
+// does (gates and instrumentation are answer-transparent; a different
+// database is not).
 func (c *Cache) WrapAs(identity, db Backend) *DB {
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
@@ -337,27 +347,6 @@ func (c *Cache) bind(id uint64, db Backend) *DB {
 	return &DB{cache: c, id: id, db: db, domains: domains}
 }
 
-// fnv64 hashes key with FNV-1a. It doubles as the compact fingerprint
-// a traced lookup records as its "key" span attribute.
-func fnv64(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
-// shardFor picks the lock domain of a key: FNV-1a over the key bytes,
-// masked to the (power-of-two) shard count.
-func (c *Cache) shardFor(key []byte) *shard {
-	return &c.shards[fnv64(key)&c.mask]
-}
-
 // lruFront moves e to the shard's most-recently-used position. Callers
 // hold sh.mu.
 func (sh *shard) lruFront(e *entry) {
@@ -386,30 +375,64 @@ func (sh *shard) lruFront(e *entry) {
 	}
 }
 
-// store memoizes res under key, evicting the shard's LRU entry beyond
-// its bound. Callers hold sh.mu; the eviction counter is global.
-func (sh *shard) store(c *Cache, key string, res hidden.Result) {
-	if e, ok := sh.entries[key]; ok {
-		e.res = res
-		sh.lruFront(e)
+// find returns the entry for key among those under hash h, or nil. A
+// hash match alone never serves: the full key decides. Callers hold
+// sh.mu.
+func (sh *shard) find(h uint64, key []byte) *entry {
+	for e := sh.entries[h]; e != nil; e = e.same {
+		if e.key == string(key) {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert adds a pending entry for key under hash h, at the head of the
+// hash's chain. Callers hold sh.mu.
+func (sh *shard) insert(h uint64, key []byte) *entry {
+	e := &entry{hash: h, key: string(key), same: sh.entries[h], pending: true}
+	sh.entries[h] = e
+	return e
+}
+
+// publish turns the leader's pending entry into a memoized answer at the
+// front of the LRU list, evicting the shard's least recently used entry
+// beyond its bound. Callers hold sh.mu; the eviction counter is global.
+func (sh *shard) publish(c *Cache, e *entry, res hidden.Result) {
+	e.res = res
+	e.pending = false
+	sh.lruFront(e)
+	sh.ready++
+	if sh.max > 0 && sh.ready > sh.max {
+		// The bound is at least 1 and e is at the front, so the tail is
+		// another entry.
+		lru := sh.tail
+		sh.tail = lru.prev
+		sh.tail.next = nil
+		lru.prev = nil
+		sh.remove(lru)
+		sh.ready--
+		sh.evictions++
+		c.evictions.Add(1)
+	}
+}
+
+// remove unlinks e from its hash chain in the map (not from the LRU
+// list). Callers hold sh.mu.
+func (sh *shard) remove(e *entry) {
+	head := sh.entries[e.hash]
+	if head == e {
+		if e.same == nil {
+			delete(sh.entries, e.hash)
+		} else {
+			sh.entries[e.hash] = e.same
+		}
 		return
 	}
-	e := &entry{key: key, res: res}
-	sh.entries[key] = e
-	sh.lruFront(e)
-	if sh.max > 0 && len(sh.entries) > sh.max {
-		lru := sh.tail
-		if lru != nil {
-			if lru.prev != nil {
-				lru.prev.next = nil
-			}
-			sh.tail = lru.prev
-			if sh.head == lru {
-				sh.head = nil
-			}
-			delete(sh.entries, lru.key)
-			sh.evictions++
-			c.evictions.Add(1)
+	for p := head; p != nil; p = p.same {
+		if p.same == e {
+			p.same = e.same
+			return
 		}
 	}
 }
@@ -449,93 +472,106 @@ func (d *DB) WithTracer(t *obs.Tracer, parent uint64) *DB {
 // fall back to heap buffers; 16 covers every dataset in the repository.
 const keyStackAttrs = 16
 
-// appendKey renders the query's canonical box in d's keyspace as a
-// compact fixed-width binary key: 8 big-endian bytes of keyspace id,
-// then 16 bytes (Lo, Hi as big-endian two's-complement) per attribute.
-// No strconv digit formatting, no separators — width is fixed by the
-// schema, so the encoding is trivially prefix-free. The box under the
+// keyStackBytes is the longest key of a keyStackAttrs-attribute schema.
+const keyStackBytes = binary.MaxVarintLen64 * (1 + 2*keyStackAttrs)
+
+// canonKey renders the query's canonical box in d's keyspace as a
+// compact binary key: the keyspace id as a uvarint, then each
+// attribute's Lo and Hi as zigzag varints. Varints are self-delimiting
+// and the id fixes the attribute count, so distinct (keyspace, box)
+// pairs never share a key; small bounds take a byte or two instead of
+// eight. It also returns the box's fingerprint. The box under the
 // advertised domains is a complete invariant of the query's semantics on
 // this backend (integer attributes), which is what makes memoization
 // safe across every capability mixture.
-func (d *DB) appendKey(dst []byte, scratch []query.Interval, q query.Q) []byte {
+func (d *DB) canonKey(dst []byte, scratch []query.Interval, q query.Q) ([]byte, uint64) {
 	box := q.CanonicalizeInto(scratch, d.domains)
-	dst = binary.BigEndian.AppendUint64(dst, d.id)
+	dst = binary.AppendUvarint(dst, d.id)
 	for _, iv := range box.Dims {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(iv.Lo)))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(iv.Hi)))
+		dst = binary.AppendVarint(dst, int64(iv.Lo))
+		dst = binary.AppendVarint(dst, int64(iv.Hi))
 	}
-	return dst
+	return dst, box.Fingerprint()
 }
 
 // Query implements the hidden-database interface with memoization and
 // in-flight deduplication. Cached and coalesced answers never reach the
-// backend, so they consume no rate-limit budget. The hot path (a hit) is
-// allocation-free: the key is built into stack buffers and map lookups
-// use the no-copy string view of those bytes.
+// backend, so they consume no rate-limit budget. The key is built in
+// stack buffers and matched through the no-copy string view of those
+// bytes, so a hit's only allocations are the answer copy handed to the
+// caller (two: the row slice and one flat backing array). A miss adds
+// its key and its entry, and a channel once another caller coalesces.
 func (d *DB) Query(q query.Q) (hidden.Result, error) {
-	var keyArr [8 + 16*keyStackAttrs]byte
+	var keyArr [keyStackBytes]byte
 	var ivArr [keyStackAttrs]query.Interval
-	var key []byte
-	if len(d.domains) <= keyStackAttrs {
-		key = d.appendKey(keyArr[:0], ivArr[:0], q)
-	} else {
-		key = d.appendKey(make([]byte, 0, 8+16*len(d.domains)), nil, q)
-	}
+	key, fp := d.canonKey(keyArr[:0], ivArr[:0], q)
 	c := d.cache
-	h := fnv64(key)
+	// The golden-ratio multiply spreads keyspace ids over the shards, so
+	// one box in many keyspaces does not pile onto one shard.
+	h := fp ^ d.id*0x9e3779b97f4a7c15
 	sh := &c.shards[h&c.mask]
 	sp := d.tracer.Start("qcache.lookup", d.parent)
-	sp.SetInt("key", int64(h))
+	sp.SetInt("key", int64(fp))
 
 	sh.mu.Lock()
 	c.lookups.Add(1)
-	if e, ok := sh.entries[string(key)]; ok {
-		c.hits.Add(1)
-		sh.lruFront(e)
-		res := e.res
-		sh.mu.Unlock()
-		sp.SetStr("outcome", "hit")
-		sp.End()
-		// Copy outside the critical section: the snapshot's backing
-		// arrays are never mutated (entries are replaced wholesale and
-		// callers only ever receive copies), so the lock protects just
-		// the map/LRU bookkeeping — the hot hit path holds it for tens
-		// of nanoseconds.
-		return copyResult(res), nil
-	}
-	if fl, ok := sh.inflight[string(key)]; ok {
+	if e := sh.find(h, key); e != nil {
+		if !e.pending {
+			c.hits.Add(1)
+			sh.lruFront(e)
+			res := e.res
+			sh.mu.Unlock()
+			sp.SetStr("outcome", "hit")
+			sp.End()
+			// Copy outside the critical section: a published answer's
+			// backing arrays are never mutated (callers only ever
+			// receive copies), so the lock protects just the map/LRU
+			// bookkeeping — the hot hit path holds it for tens of
+			// nanoseconds.
+			return copyResult(res), nil
+		}
 		c.coalesced.Add(1)
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
 		sh.mu.Unlock()
-		<-fl.done
+		<-done
 		sp.SetStr("outcome", "coalesced")
 		sp.End()
-		if fl.err != nil {
-			return hidden.Result{}, fl.err
+		// The leader set res/err before closing done and never touches
+		// them again.
+		if e.err != nil {
+			return hidden.Result{}, e.err
 		}
-		return copyResult(fl.res), nil
+		return copyResult(e.res), nil
 	}
-	fl := &call{done: make(chan struct{})}
-	skey := string(key) // the one allocation, on the miss path only
-	sh.inflight[skey] = fl
+	e := sh.insert(h, key)
 	c.misses.Add(1)
 	sh.mu.Unlock()
 	sp.SetStr("outcome", "miss")
 
-	fl.res, fl.err = d.db.Query(q)
+	res, err := d.db.Query(q)
 
 	sh.mu.Lock()
-	delete(sh.inflight, skey)
-	if fl.err == nil {
-		sh.store(c, skey, fl.res)
+	if err == nil {
+		sh.publish(c, e, res)
+	} else {
+		// Errors are never cached: the next asker misses afresh.
+		e.err = err
+		sh.remove(e)
 	}
+	done := e.done
 	sh.mu.Unlock()
-	close(fl.done)
+	if done != nil {
+		close(done)
+	}
 	sp.End()
 
-	if fl.err != nil {
-		return hidden.Result{}, fl.err
+	if err != nil {
+		return hidden.Result{}, err
 	}
-	return copyResult(fl.res), nil
+	return copyResult(res), nil
 }
 
 // NumAttrs implements the hidden-database interface.

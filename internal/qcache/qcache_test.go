@@ -170,15 +170,20 @@ func TestShardStats(t *testing.T) {
 	}
 }
 
-// blockingBackend parks every Query until released, counting arrivals.
+// blockingBackend parks every Query until released, counting arrivals;
+// a released query fails with fail when it is set.
 type blockingBackend struct {
 	arrived atomic.Int64
 	release chan struct{}
+	fail    error
 }
 
 func (b *blockingBackend) Query(q query.Q) (hidden.Result, error) {
 	b.arrived.Add(1)
 	<-b.release
+	if b.fail != nil {
+		return hidden.Result{}, b.fail
+	}
 	return hidden.Result{Tuples: [][]int{{1, 1}}}, nil
 }
 func (b *blockingBackend) NumAttrs() int               { return 2 }

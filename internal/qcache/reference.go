@@ -22,14 +22,28 @@ import (
 	"hiddensky/internal/query"
 )
 
+// refEntry is one memoized answer, on the reference cache's LRU list.
+type refEntry struct {
+	key        string
+	res        hidden.Result
+	prev, next *refEntry
+}
+
+// refCall is one in-flight backend query being shared.
+type refCall struct {
+	done chan struct{}
+	res  hidden.Result
+	err  error
+}
+
 // RefCache is the seed's shared memo store: one mutex over everything.
 type RefCache struct {
 	mu       sync.Mutex
 	max      int
-	entries  map[string]*entry
-	inflight map[string]*call
-	head     *entry // most recently used
-	tail     *entry // least recently used
+	entries  map[string]*refEntry
+	inflight map[string]*refCall
+	head     *refEntry // most recently used
+	tail     *refEntry // least recently used
 	stats    Stats
 
 	bindings []refBinding
@@ -51,8 +65,8 @@ func NewRef(cfg Config) *RefCache {
 	}
 	return &RefCache{
 		max:      max,
-		entries:  map[string]*entry{},
-		inflight: map[string]*call{},
+		entries:  map[string]*refEntry{},
+		inflight: map[string]*refCall{},
 	}
 }
 
@@ -100,7 +114,7 @@ func (c *RefCache) bind(id uint64, db Backend) *RefDB {
 }
 
 // lruFront moves e to the most-recently-used position.
-func (c *RefCache) lruFront(e *entry) {
+func (c *RefCache) lruFront(e *refEntry) {
 	if c.head == e {
 		return
 	}
@@ -131,7 +145,7 @@ func (c *RefCache) store(key string, res hidden.Result) {
 		c.lruFront(e)
 		return
 	}
-	e := &entry{key: key, res: res}
+	e := &refEntry{key: key, res: res}
 	c.entries[key] = e
 	c.lruFront(e)
 	if c.max > 0 && len(c.entries) > c.max {
@@ -198,7 +212,7 @@ func (d *RefDB) Query(q query.Q) (hidden.Result, error) {
 		}
 		return refCopyResult(fl.res), nil
 	}
-	fl := &call{done: make(chan struct{})}
+	fl := &refCall{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.stats.Misses++
 	c.mu.Unlock()

@@ -9,6 +9,7 @@ package qcache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -187,9 +188,10 @@ func TestShardedEvictionRespectsGlobalBound(t *testing.T) {
 	}
 }
 
-// TestBinaryKeyDistinguishesBoxes guards the fixed-width binary key:
-// boxes that differ in any bound, or belong to different keyspaces,
-// must never collide; canonical twins must.
+// TestBinaryKeyDistinguishesBoxes guards the varint binary key: boxes
+// that differ in any bound — the most negative and most positive ints,
+// and empty boxes, included — or belong to different keyspaces, must
+// never collide; canonical twins must.
 func TestBinaryKeyDistinguishesBoxes(t *testing.T) {
 	a := mkDB(t, 40, rqCaps(2), 5, 0)
 	b := mkDB(t, 40, rqCaps(2), 5, 0)
@@ -203,8 +205,21 @@ func TestBinaryKeyDistinguishesBoxes(t *testing.T) {
 		{{Attr: 1, Op: query.LE, Value: 5}},
 		{{Attr: 0, Op: query.GE, Value: 5}},
 		{{Attr: 0, Op: query.LE, Value: -3}}, // negative bounds must encode distinctly
+		{{Attr: 0, Op: query.LE, Value: math.MinInt}},
+		{{Attr: 0, Op: query.GE, Value: math.MaxInt}},
+		{{Attr: 1, Op: query.LE, Value: math.MinInt}},
+		{{Attr: 0, Op: query.GE, Value: math.MaxInt}, {Attr: 1, Op: query.LE, Value: math.MinInt}},
+		{{Attr: 0, Op: query.GE, Value: 10}, {Attr: 0, Op: query.LE, Value: 5}}, // empty box
+		{{Attr: 0, Op: query.GE, Value: 9}, {Attr: 0, Op: query.LE, Value: 5}},  // another empty box
+		nil, // the whole domain
 	}
-	for _, q := range qs {
+	keys := map[string]int{}
+	for i, q := range qs {
+		key, _ := va.canonKey(nil, nil, q)
+		if j, dup := keys[string(key)]; dup {
+			t.Fatalf("boxes %d and %d share the key %x", j, i, key)
+		}
+		keys[string(key)] = i
 		if _, err := va.Query(q); err != nil {
 			t.Fatal(err)
 		}
@@ -226,6 +241,10 @@ func TestBinaryKeyDistinguishesBoxes(t *testing.T) {
 	}
 	if a.QueriesIssued() != before {
 		t.Fatal("canonical twin missed the cache under the binary key")
+	}
+	twin, _ := va.canonKey(nil, nil, query.Q{{Attr: 0, Op: query.LE, Value: math.MinInt}, {Attr: 0, Op: query.LE, Value: 3}})
+	if i, ok := keys[string(twin)]; !ok || i != 5 {
+		t.Fatal("canonical twin of the MinInt bound has its own key")
 	}
 }
 
@@ -283,6 +302,8 @@ func BenchmarkCacheLookupParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCanonKey times the per-lookup key work: canonicalizing the
+// query, encoding the varint key and fingerprinting the box.
 func BenchmarkCanonKey(b *testing.B) {
 	db := mkDB(b, 100, rqCaps(3), 5, 0)
 	v := New(Config{}).Wrap(db)
@@ -291,11 +312,11 @@ func BenchmarkCanonKey(b *testing.B) {
 		{Attr: 1, Op: query.GE, Value: 3},
 		{Attr: 2, Op: query.LT, Value: 9},
 	}
-	var arr [8 + 16*keyStackAttrs]byte
+	var arr [keyStackBytes]byte
 	var ivs [keyStackAttrs]query.Interval
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = v.appendKey(arr[:0], ivs[:0], q)
+		_, _ = v.canonKey(arr[:0], ivs[:0], q)
 	}
 }

@@ -258,6 +258,32 @@ func (q Q) CanonicalizeInto(dst []Interval, domains []Interval) Box {
 	return b
 }
 
+// Fingerprint hashes the box's bounds into a deterministic 64-bit
+// identity: FNV-1a over the (Lo, Hi) words, then a murmur3 finalizer so
+// every input bit reaches the low bits (the query cache masks them to
+// pick a shard). It is the "key" attribute of both the cache's
+// qcache.lookup spans and the web client's web.query spans, so a trace
+// reader can tie an upstream query to the lookup that missed. Equal
+// boxes always agree; distinct boxes collide only by chance, so callers
+// that serve answers by it must still compare the full box.
+func (b Box) Fingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, iv := range b.Dims {
+		h = (h ^ uint64(int64(iv.Lo))) * prime64
+		h = (h ^ uint64(int64(iv.Hi))) * prime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
 // Normalize returns an equivalent query with at most one lower and one
 // upper bound predicate per attribute (LE/GE form), sorted by attribute.
 // Equality constraints become a pair LE/GE with the same value.

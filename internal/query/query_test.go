@@ -291,3 +291,33 @@ func TestParsePrintRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestBoxFingerprint(t *testing.T) {
+	doms := []Interval{{0, 99}, {-5, 5}}
+	fp := func(q Q) uint64 { return q.Canonicalize(doms).Fingerprint() }
+	// Canonical twins agree; any changed bound disagrees.
+	if fp(Q{{Attr: 0, Op: LT, Value: 10}}) != fp(Q{{Attr: 0, Op: LE, Value: 9}, {Attr: 0, Op: LE, Value: 50}}) {
+		t.Fatal("canonical twins fingerprint differently")
+	}
+	seen := map[uint64]Q{}
+	for _, q := range []Q{
+		nil,
+		{{Attr: 0, Op: LE, Value: 9}},
+		{{Attr: 0, Op: LE, Value: 8}},
+		{{Attr: 0, Op: GE, Value: 9}},
+		{{Attr: 1, Op: LE, Value: 0}},
+		{{Attr: 1, Op: LE, Value: -1}},
+		{{Attr: 0, Op: EQ, Value: 3}, {Attr: 1, Op: EQ, Value: 3}},
+	} {
+		h := fp(q)
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("%v and %v share fingerprint %d", prev, q, h)
+		}
+		seen[h] = q
+	}
+	// No random seed: the value is fixed across processes, so shard
+	// choice (and what a bounded cache evicts) repeats run to run.
+	if got := fp(Q{{Attr: 0, Op: LT, Value: 10}}); got != 11527581104382668982 {
+		t.Fatalf("fingerprint of A0 < 10 = %d", got)
+	}
+}

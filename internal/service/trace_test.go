@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -175,15 +176,23 @@ func TestTraceUpstreamSpanCountExact(t *testing.T) {
 }
 
 // TestTraceCachedJobAnnotatesLookups: a cached job's trace carries one
-// qcache.lookup span per lookup, with hit/miss outcomes that add up.
+// qcache.lookup span per lookup, with hit/miss outcomes that add up, and
+// over a remote store every lookup that missed shares its key
+// fingerprint with the web.query span it caused.
 func TestTraceCachedJobAnnotatesLookups(t *testing.T) {
 	d := testDataset(11, 80)
+	upstream := httptest.NewServer(web.NewServer(d.DB(5, hidden.SumRank{}), nil))
+	defer upstream.Close()
+	wc, err := web.Dial(upstream.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := NewManager(Config{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
-	if err := m.AddStore("s", d.DB(5, hidden.SumRank{})); err != nil {
+	if err := m.AddStore("s", wc); err != nil {
 		t.Fatal(err)
 	}
 	st, err := m.Submit(JobSpec{Store: "s", Algo: "sq", UseCache: true})
@@ -199,12 +208,20 @@ func TestTraceCachedJobAnnotatesLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	lookups := map[string]int{}
+	missKeys, queryKeys := map[int64]bool{}, map[int64]bool{}
 	for i := range tr.Spans {
-		if tr.Spans[i].Name != "qcache.lookup" {
-			continue
+		rec := &tr.Spans[i]
+		key, _ := rec.AttrInt("key")
+		switch rec.Name {
+		case "web.query":
+			queryKeys[key] = true
+		case "qcache.lookup":
+			o, _ := rec.AttrStr("outcome")
+			lookups[o]++
+			if o == "miss" {
+				missKeys[key] = true
+			}
 		}
-		o, _ := tr.Spans[i].AttrStr("outcome")
-		lookups[o]++
 	}
 	stats := m.CacheStats()
 	if got := lookups["hit"] + lookups["miss"] + lookups["coalesced"]; got != stats.Lookups {
@@ -215,6 +232,12 @@ func TestTraceCachedJobAnnotatesLookups(t *testing.T) {
 	}
 	if final.Queries != stats.Lookups {
 		t.Fatalf("job counted %d queries, cache saw %d lookups", final.Queries, stats.Lookups)
+	}
+	if len(missKeys) != stats.Misses {
+		t.Fatalf("%d distinct miss keys for %d misses", len(missKeys), stats.Misses)
+	}
+	if fmt.Sprint(missKeys) != fmt.Sprint(queryKeys) {
+		t.Fatalf("miss keys and web.query keys differ:\nmiss:  %v\nquery: %v", missKeys, queryKeys)
 	}
 }
 

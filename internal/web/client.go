@@ -353,29 +353,12 @@ func (c *Client) endQuerySpan(sp *obs.Span, res *hidden.Result, retries int64) {
 }
 
 // queryKey fingerprints the query's canonical box under the remote
-// domains (FNV-1a over the interval bounds) — the same identity the
-// shared cache keys on, so a trace reader can tie a web.query span to
-// the qcache.lookup that missed. Computed only on traced queries.
+// domains with query.Box.Fingerprint, the "key" a qcache.lookup span
+// records, so a trace reader can tie a web.query span to the lookup that
+// missed. Computed only on traced queries.
 func (c *Client) queryKey(q query.Q) uint64 {
-	const keyStackAttrs = 16
-	var ivArr [keyStackAttrs]query.Interval
-	scratch := ivArr[:0]
-	if len(c.domains) > keyStackAttrs {
-		scratch = nil
-	}
-	box := q.CanonicalizeInto(scratch, c.domains)
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, iv := range box.Dims {
-		h ^= uint64(int64(iv.Lo))
-		h *= prime64
-		h ^= uint64(int64(iv.Hi))
-		h *= prime64
-	}
-	return h
+	var ivArr [16]query.Interval // wider schemas allocate the box
+	return q.CanonicalizeInto(ivArr[:0], c.domains).Fingerprint()
 }
 
 // errRemoteRateLimited marks a single 429 answer internally.
