@@ -34,6 +34,8 @@
 package hiddensky
 
 import (
+	"fmt"
+
 	"hiddensky/internal/analysis"
 	"hiddensky/internal/answer"
 	"hiddensky/internal/bench"
@@ -180,29 +182,67 @@ var (
 )
 
 // Algorithm entry points (see the paper sections in parentheses) —
-// retained for paper fidelity. They are the points of Request space the
-// planner dispatches to; new code that wants features to compose
-// (filter × band × explicit algorithm × resume) should go through Run.
+// retained for paper fidelity. Each is one point of Request space, run
+// through the planner; new code that wants features to compose
+// (filter × band × explicit algorithm × resume) should call Run directly.
 var (
-	// SQDBSky discovers the skyline via one-ended ranges (Algorithm 1, §3).
-	SQDBSky = core.SQDBSky
-	// RQDBSky discovers the skyline via two-ended ranges (Algorithm 2, §4).
-	RQDBSky = core.RQDBSky
-	// PQ2DSky is the instance-optimal 2D point-predicate algorithm (§5.1).
-	PQ2DSky = core.PQ2DSky
-	// PQDBSky handles higher-dimensional point predicates (§5.3).
-	PQDBSky = core.PQDBSky
-	// MQDBSky handles arbitrary SQ/RQ/PQ mixtures (Algorithm 6, §6).
-	MQDBSky = core.MQDBSky
 	// Discover dispatches to the right algorithm for the interface.
 	Discover = core.Discover
 	// DiscoverWhere discovers the skyline of a filtered subset (§2.1).
 	DiscoverWhere = core.DiscoverWhere
-	// RQBandSky, PQBandSky, SQBandSky discover the K-skyband (§7.2).
-	RQBandSky = core.RQBandSky
-	PQBandSky = core.PQBandSky
-	SQBandSky = core.SQBandSky
 )
+
+// SQDBSky discovers the skyline via one-ended ranges (Algorithm 1, §3).
+func SQDBSky(db HiddenDB, opt Options) (DiscoveryResult, error) {
+	return Run(db, Request{Algo: AlgoSQ}, opt)
+}
+
+// RQDBSky discovers the skyline via two-ended ranges (Algorithm 2, §4).
+func RQDBSky(db HiddenDB, opt Options) (DiscoveryResult, error) {
+	return Run(db, Request{Algo: AlgoRQ}, opt)
+}
+
+// PQ2DSky is the instance-optimal 2D point-predicate algorithm (§5.1).
+func PQ2DSky(db HiddenDB, opt Options) (DiscoveryResult, error) {
+	if m := db.NumAttrs(); m != 2 {
+		return DiscoveryResult{}, fmt.Errorf("hiddensky: PQ2DSky needs 2 attributes, database has %d", m)
+	}
+	return PQDBSky(db, opt) // its two-attribute path is Algorithm 3
+}
+
+// PQDBSky handles higher-dimensional point predicates (§5.3).
+func PQDBSky(db HiddenDB, opt Options) (DiscoveryResult, error) {
+	return Run(db, Request{Algo: AlgoPQ}, opt)
+}
+
+// MQDBSky handles arbitrary SQ/RQ/PQ mixtures (Algorithm 6, §6).
+func MQDBSky(db HiddenDB, opt Options) (DiscoveryResult, error) {
+	return Run(db, Request{Algo: AlgoMQ}, opt)
+}
+
+// RQBandSky discovers the K-skyband via two-ended ranges (§7.2).
+func RQBandSky(db HiddenDB, kBand int, opt Options) (BandResult, error) {
+	return bandSky(db, AlgoRQ, kBand, opt)
+}
+
+// PQBandSky discovers the K-skyband via point predicates (§7.2).
+func PQBandSky(db HiddenDB, kBand int, opt Options) (BandResult, error) {
+	return bandSky(db, AlgoPQ, kBand, opt)
+}
+
+// SQBandSky discovers the K-skyband via one-ended ranges (§7.2); the
+// result may be partial (Complete false), as the paper proves it must.
+func SQBandSky(db HiddenDB, kBand int, opt Options) (BandResult, error) {
+	return bandSky(db, AlgoSQ, kBand, opt)
+}
+
+func bandSky(db HiddenDB, algo Algo, kBand int, opt Options) (BandResult, error) {
+	if kBand < 1 {
+		return BandResult{}, fmt.Errorf("hiddensky: band level must be >= 1, got %d", kBand)
+	}
+	res, err := Run(db, Request{Algo: algo, Band: kBand}, opt)
+	return BandResult{Tuples: res.Skyline, Counts: res.BandCounts, Queries: res.Queries, Complete: res.Complete}, err
+}
 
 // Execution layer: the shared memoizing query cache and the bounded
 // parallel engine. Discover runs them via Options.Cache / Options

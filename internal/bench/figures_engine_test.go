@@ -61,7 +61,7 @@ func BenchmarkRQSequential(b *testing.B) {
 	db := engineBenchDB(b, capsOf(4, hidden.RQ))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RQDBSky(db, core.Options{}); err != nil {
+		if _, err := core.Run(db, core.Request{Algo: core.AlgoRQ}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkRQParallel(b *testing.B) {
 	db := engineBenchDB(b, capsOf(4, hidden.RQ))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RQDBSky(db, core.Options{Parallelism: 8}); err != nil {
+		if _, err := core.Run(db, core.Request{Algo: core.AlgoRQ}, core.Options{Parallelism: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,12 +82,12 @@ func BenchmarkRQParallel(b *testing.B) {
 func BenchmarkRQCached(b *testing.B) {
 	db := engineBenchDB(b, capsOf(4, hidden.RQ))
 	cache := qcache.New(qcache.Config{})
-	if _, err := core.RQDBSky(db, core.Options{Cache: cache}); err != nil {
+	if _, err := core.Run(db, core.Request{Algo: core.AlgoRQ}, core.Options{Cache: cache}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RQDBSky(db, core.Options{Cache: cache}); err != nil {
+		if _, err := core.Run(db, core.Request{Algo: core.AlgoRQ}, core.Options{Cache: cache}); err != nil {
 			b.Fatal(err)
 		}
 	}

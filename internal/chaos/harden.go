@@ -1,11 +1,10 @@
 package chaos
 
 import (
-	"errors"
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hiddensky/internal/core"
 	"hiddensky/internal/hidden"
@@ -13,14 +12,14 @@ import (
 	"hiddensky/internal/retry"
 )
 
-// Hardened retries transient faults from a hostile core.Interface under
-// a retry.Policy — the in-process analogue of web.Client's retry loop,
-// sitting between core (which treats every Query error as terminal for
-// the run) and a faulty upstream. Injected rate limits and transient
-// faults are retried with backoff, honoring Retry-After hints; once the
-// policy's attempts are spent the final error passes through unchanged,
-// so errors.Is(err, hidden.ErrRateLimited) still reaches the anytime
-// machinery.
+// Hardened retries transient faults from a hostile core.Interface with
+// retry.Policy.Do — the loop web.Client runs over HTTP — sitting between
+// core (which treats every Query error as terminal for the run) and a
+// faulty upstream. Injected rate limits and transient faults are retried
+// with backoff, honoring Retry-After hints up to the policy's
+// RetryAfterCap; once the policy's attempts are spent the final error
+// passes through unchanged, so errors.Is(err, hidden.ErrRateLimited)
+// still reaches the anytime machinery.
 type Hardened struct {
 	inner  core.Interface
 	policy retry.Policy
@@ -54,20 +53,13 @@ func (h *Hardened) rnd() float64 {
 // answer is byte-identical to the one a clean upstream would have given,
 // which is what keeps discovery's skyline and counted query total exact
 // under every recoverable profile.
-func (h *Hardened) Query(q query.Q) (hidden.Result, error) {
-	p := h.policy
-	for attempt := 1; ; attempt++ {
-		res, err := h.inner.Query(q)
-		if err == nil {
-			return res, nil
-		}
-		transient := retry.Transient(err) || errors.Is(err, hidden.ErrRateLimited)
-		if !transient || attempt >= p.Attempts {
-			return res, err
-		}
-		h.retries.Add(1)
-		time.Sleep(p.Backoff(attempt, retry.AfterHint(err), h.rnd))
-	}
+func (h *Hardened) Query(q query.Q) (res hidden.Result, err error) {
+	attempts, err := h.policy.Do(context.TODO(), h.rnd, func() (err error) {
+		res, err = h.inner.Query(q)
+		return err
+	})
+	h.retries.Add(int64(attempts - 1))
+	return res, err
 }
 
 // NumAttrs implements core.Interface.

@@ -61,13 +61,13 @@ func (bc *bandCollector) finish(kBand, queries int, complete bool) BandResult {
 	return res
 }
 
-// RQBandSky discovers the K-skyband through a two-ended-range interface.
+// rqBandSky discovers the K-skyband through a two-ended-range interface.
 // Following §7.2, it first discovers the skyline with RQ-DB-SKY, then for
 // each band tuple t of level h-1 re-runs the discovery inside t's strict
 // domination subspace, which is covered by m mutually exclusive branches
 // "A_i = t[A_i] (i < j), A_j > t[A_j], A_i >= t[A_i] (i > j)". The number
 // of re-runs is |top-(K-1) band| plus one, exactly as the paper argues.
-func RQBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
+func rqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	if kBand < 1 {
 		return BandResult{}, fmt.Errorf("core: band level must be >= 1, got %d", kBand)
 	}
@@ -129,12 +129,12 @@ func RQBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	return bc.finish(kBand, c.queries, true), nil
 }
 
-// PQBandSky discovers the K-skyband through a point-predicate interface.
+// pqBandSky discovers the K-skyband through a point-predicate interface.
 // The plane engine runs at band level K: a line query keeps its K best
 // answers (falling back to fully-specified cell queries when the
 // interface's k is smaller, as §7.2 prescribes) and prunes only cells with
 // K proven dominators.
-func PQBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
+func pqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	if kBand < 1 {
 		return BandResult{}, fmt.Errorf("core: band level must be >= 1, got %d", kBand)
 	}
@@ -233,13 +233,13 @@ func pqBandRun(c *ctx, kBand int, bc *bandCollector) error {
 	})
 }
 
-// SQBandSky discovers the K-skyband through a one-ended-range interface —
+// sqBandSky discovers the K-skyband through a one-ended-range interface —
 // the paper's hardest case (§7.2 proves completeness may require crawling).
 // The tree branches on an answered tuple provably dominated by K-1 others;
 // when an overflowing node has no such tuple the subtree is abandoned and
 // the result is marked partial (Complete=false). With k >= K this rarely
 // triggers near the top of the tree, matching the paper's observation.
-func SQBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
+func sqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	if kBand < 1 {
 		return BandResult{}, fmt.Errorf("core: band level must be >= 1, got %d", kBand)
 	}

@@ -46,21 +46,21 @@ func TestBandLevelOneEqualsSkyline(t *testing.T) {
 	data := uniqueData(rng, 80, 3, 9)
 	want := skyline.ComputeTuples(data)
 
-	rq, err := RQBandSky(mkDB(t, data, capsAll(3, hidden.RQ), 3, hidden.SumRank{}), 1, Options{})
+	rq, err := rqBandSky(mkDB(t, data, capsAll(3, hidden.RQ), 3, hidden.SumRank{}), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, diff := sameTupleSet(rq.Tuples, want); !ok {
 		t.Fatalf("RQ band-1: %s", diff)
 	}
-	pq, err := PQBandSky(mkDB(t, data, capsAll(3, hidden.PQ), 3, hidden.SumRank{}), 1, Options{})
+	pq, err := pqBandSky(mkDB(t, data, capsAll(3, hidden.PQ), 3, hidden.SumRank{}), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, diff := sameTupleSet(pq.Tuples, want); !ok {
 		t.Fatalf("PQ band-1: %s", diff)
 	}
-	sq, err := SQBandSky(mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{}), 1, Options{})
+	sq, err := sqBandSky(mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{}), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,21 +75,21 @@ func TestBandLevelOneEqualsSkyline(t *testing.T) {
 func TestBandValidation(t *testing.T) {
 	data := [][]int{{1, 2}, {2, 1}}
 	rqDB := mkDB(t, data, capsAll(2, hidden.RQ), 1, hidden.SumRank{})
-	if _, err := RQBandSky(rqDB, 0, Options{}); err == nil {
+	if _, err := rqBandSky(rqDB, 0, Options{}); err == nil {
 		t.Error("K=0 accepted")
 	}
 	mixed := mkDB(t, data, []hidden.Capability{hidden.RQ, hidden.SQ}, 1, hidden.SumRank{})
-	if _, err := RQBandSky(mixed, 2, Options{}); err == nil {
+	if _, err := rqBandSky(mixed, 2, Options{}); err == nil {
 		t.Error("RQBandSky accepted a non-RQ attribute")
 	}
-	if _, err := PQBandSky(rqDB, 2, Options{}); err == nil {
+	if _, err := pqBandSky(rqDB, 2, Options{}); err == nil {
 		t.Error("PQBandSky accepted a non-PQ interface")
 	}
 	pqDB := mkDB(t, data, capsAll(2, hidden.PQ), 1, hidden.SumRank{})
-	if _, err := PQBandSky(pqDB, 0, Options{}); err == nil {
+	if _, err := pqBandSky(pqDB, 0, Options{}); err == nil {
 		t.Error("PQ K=0 accepted")
 	}
-	if _, err := SQBandSky(rqDB, 0, Options{}); err == nil {
+	if _, err := sqBandSky(rqDB, 0, Options{}); err == nil {
 		t.Error("SQ K=0 accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestRQBandSubspaceQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	data := uniqueData(rng, 40, 2, 7)
 	spy := &spyDB{DB: mkDB(t, data, capsAll(2, hidden.RQ), 2, hidden.SumRank{})}
-	if _, err := RQBandSky(spy, 2, Options{}); err != nil {
+	if _, err := rqBandSky(spy, 2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	sawStrict := false
@@ -121,7 +121,7 @@ func TestRQBandSubspaceQueries(t *testing.T) {
 func TestPQBand1D(t *testing.T) {
 	data := [][]int{{4}, {1}, {7}, {2}, {9}}
 	db := mkDB(t, data, capsAll(1, hidden.PQ), 1, hidden.SumRank{})
-	res, err := PQBandSky(db, 3, Options{})
+	res, err := pqBandSky(db, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,10 @@ func TestBandBudgets(t *testing.T) {
 	}
 	for name, run := range map[string]func() (BandResult, error){
 		"rq": func() (BandResult, error) {
-			return RQBandSky(mkDB(t, data, capsAll(3, hidden.RQ), 3, hidden.SumRank{}), 2, Options{MaxQueries: 6})
+			return rqBandSky(mkDB(t, data, capsAll(3, hidden.RQ), 3, hidden.SumRank{}), 2, Options{MaxQueries: 6})
 		},
 		"pq": func() (BandResult, error) {
-			return PQBandSky(mkDB(t, data, capsAll(3, hidden.PQ), 3, hidden.SumRank{}), 2, Options{MaxQueries: 6})
+			return pqBandSky(mkDB(t, data, capsAll(3, hidden.PQ), 3, hidden.SumRank{}), 2, Options{MaxQueries: 6})
 		},
 	} {
 		res, err := run()
@@ -171,14 +171,14 @@ func TestBandBudgets(t *testing.T) {
 func TestSQBandCompletenessVsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	data := uniqueData(rng, 100, 2, 12)
-	lowK, err := SQBandSky(mkDB(t, data, capsAll(2, hidden.SQ), 1, hidden.SumRank{}), 3, Options{})
+	lowK, err := sqBandSky(mkDB(t, data, capsAll(2, hidden.SQ), 1, hidden.SumRank{}), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lowK.Complete {
 		t.Fatal("k=1 three-band claims completeness (cannot prove domination counts)")
 	}
-	highK, err := SQBandSky(mkDB(t, data, capsAll(2, hidden.SQ), 25, hidden.SumRank{}), 3, Options{})
+	highK, err := sqBandSky(mkDB(t, data, capsAll(2, hidden.SQ), 25, hidden.SumRank{}), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPQBandSecondLayerBehindSkyline(t *testing.T) {
 		{4, 4}, // dominated by (1,3) and (1,4): band-3
 	}
 	db := mkDB(t, data, capsAll(2, hidden.PQ), 2, hidden.SumRank{})
-	res, err := PQBandSky(db, 2, Options{})
+	res, err := pqBandSky(db, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

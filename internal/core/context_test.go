@@ -65,7 +65,7 @@ func TestDiscoverProgressEvents(t *testing.T) {
 	data := randData(rng, 400, 3, 12)
 	db := mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{})
 	var events, last atomic.Int64
-	res, err := SQDBSky(db, Options{Progress: func(ev ProgressEvent) {
+	res, err := sqDBSky(db, Options{Progress: func(ev ProgressEvent) {
 		events.Add(1)
 		last.Store(int64(ev.Queries))
 	}})

@@ -1,14 +1,18 @@
 // Package core implements the skyline-discovery algorithms of "Discovering
 // the Skyline of Web Databases" (Asudeh, Thirumuruganathan, Zhang, Das,
-// 2016) over top-k hidden web interfaces:
+// 2016) over top-k hidden web interfaces, each reached through the
+// planner (Plan / Run) as one Request:
 //
-//   - SQDBSky  — Algorithm 1, one-ended range interfaces (SQ)
-//   - RQDBSky  — Algorithm 2, two-ended range interfaces (RQ)
-//   - PQ2DSky  — Algorithm 3, point-predicate interfaces, two attributes
-//   - PQDBSky  — Algorithm 5 (with the Algorithm 4 subspace subroutine),
-//     point-predicate interfaces, any dimensionality
-//   - MQDBSky  — Algorithm 6, arbitrary mixtures of SQ, RQ and PQ
-//   - the K-skyband extensions of §7.2 (RQBandSky, PQBandSky, SQBandSky)
+//   - AlgoSQ — Algorithm 1, one-ended range interfaces (SQ)
+//   - AlgoRQ — Algorithm 2, two-ended range interfaces (RQ)
+//   - AlgoPQ — Algorithm 3 on two point-predicate attributes, Algorithm 5
+//     (with the Algorithm 4 subspace subroutine) on more
+//   - AlgoMQ — Algorithm 6, arbitrary mixtures of SQ, RQ and PQ
+//   - Request.Band — the K-skyband extensions of §7.2 (RQ, PQ, SQ)
+//
+// The paper-named entry points (SQDBSky ... SQBandSky) are one-line Run
+// calls in the hiddensky facade; here they are unexported, so no layer
+// above core can dispatch around the planner.
 //
 // All algorithms interact with the database only through the Interface
 // type, count every query they issue, and feature the paper's anytime
@@ -521,8 +525,8 @@ func attrsByCap(db Interface) (sq, rq, pq []int) {
 }
 
 // Discover runs the most appropriate algorithm for the database's
-// interface mixture (MQDBSky's dispatch): SQ-, RQ-, PQ- or MQ-DB-SKY.
+// interface mixture (MQ-DB-SKY's dispatch): SQ-, RQ-, PQ- or MQ-DB-SKY.
 // It is the zero-Request point of the planner: Run(db, Request{}, opt).
 func Discover(db Interface, opt Options) (Result, error) {
-	return MQDBSky(db, opt)
+	return mqDBSky(db, opt)
 }

@@ -127,7 +127,7 @@ func TestSQDBSkyRandom(t *testing.T) {
 					data := randData(rng, n, m, domain)
 					db := mkDB(t, data, capsAll(m, hidden.SQ), k, rk.rank)
 					name := fmt.Sprintf("SQ m=%d k=%d dom=%d rank=%s", m, k, domain, rk.name)
-					checkSkyline(t, db, SQDBSky, name)
+					checkSkyline(t, db, sqDBSky, name)
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func TestRQDBSkyRandom(t *testing.T) {
 					data := randData(rng, n, m, domain)
 					db := mkDB(t, data, capsAll(m, hidden.RQ), k, rk.rank)
 					name := fmt.Sprintf("RQ m=%d k=%d dom=%d rank=%s", m, k, domain, rk.name)
-					checkSkyline(t, db, RQDBSky, name)
+					checkSkyline(t, db, rqDBSky, name)
 				}
 			}
 		}
@@ -165,7 +165,7 @@ func TestRQDBSkyMixedSQRQ(t *testing.T) {
 		}
 		data := randData(rng, 20+rng.Intn(120), m, 12)
 		db := mkDB(t, data, caps, 1+rng.Intn(5), hidden.SumRank{})
-		checkSkyline(t, db, RQDBSky, fmt.Sprintf("RQ-mixed trial=%d caps=%v", trial, caps))
+		checkSkyline(t, db, rqDBSky, fmt.Sprintf("RQ-mixed trial=%d caps=%v", trial, caps))
 	}
 }
 
@@ -178,7 +178,7 @@ func TestPQ2DSkyRandom(t *testing.T) {
 				data := randData(rng, n, 2, domain)
 				db := mkDB(t, data, capsAll(2, hidden.PQ), k, rk.rank)
 				name := fmt.Sprintf("PQ2D k=%d dom=%d rank=%s", k, domain, rk.name)
-				checkSkyline(t, db, PQ2DSky, name)
+				checkSkyline(t, db, pq2DSky, name)
 			}
 		}
 	}
@@ -193,7 +193,7 @@ func TestPQDBSkyRandom(t *testing.T) {
 				data := randData(rng, n, m, 5)
 				db := mkDB(t, data, capsAll(m, hidden.PQ), k, rk.rank)
 				name := fmt.Sprintf("PQDB m=%d k=%d rank=%s", m, k, rk.name)
-				checkSkyline(t, db, PQDBSky, name)
+				checkSkyline(t, db, pqDBSky, name)
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func TestMQDBSkyRandomMixtures(t *testing.T) {
 		data := randData(rng, 20+rng.Intn(180), m, domain)
 		rk := testRankings[rng.Intn(len(testRankings))]
 		db := mkDB(t, data, caps, 1+rng.Intn(6), rk.rank)
-		checkSkyline(t, db, MQDBSky, fmt.Sprintf("MQ trial=%d caps=%v rank=%s", trial, caps, rk.name))
+		checkSkyline(t, db, mqDBSky, fmt.Sprintf("MQ trial=%d caps=%v rank=%s", trial, caps, rk.name))
 	}
 }
 
@@ -249,10 +249,10 @@ func TestPaperRunningExample(t *testing.T) {
 		caps []hidden.Capability
 		algo func(Interface, Options) (Result, error)
 	}{
-		{"SQ", capsAll(3, hidden.SQ), SQDBSky},
-		{"RQ", capsAll(3, hidden.RQ), RQDBSky},
-		{"PQ", capsAll(3, hidden.PQ), PQDBSky},
-		{"MQ", []hidden.Capability{hidden.SQ, hidden.RQ, hidden.PQ}, MQDBSky},
+		{"SQ", capsAll(3, hidden.SQ), sqDBSky},
+		{"RQ", capsAll(3, hidden.RQ), rqDBSky},
+		{"PQ", capsAll(3, hidden.PQ), pqDBSky},
+		{"MQ", []hidden.Capability{hidden.SQ, hidden.RQ, hidden.PQ}, mqDBSky},
 	} {
 		db := mkDB(t, data, tc.caps, 1, hidden.SumRank{})
 		res, err := tc.algo(db, Options{})
@@ -272,13 +272,13 @@ func TestAnytimeBudget(t *testing.T) {
 	fullSet := tupleSet(full)
 
 	db := mkDB(t, data, capsAll(4, hidden.SQ), 2, hidden.SumRank{})
-	ref, err := SQDBSky(db, Options{})
+	ref, err := sqDBSky(db, Options{})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	for _, budget := range []int{1, 3, ref.Queries / 2} {
 		db := mkDB(t, data, capsAll(4, hidden.SQ), 2, hidden.SumRank{})
-		res, err := SQDBSky(db, Options{MaxQueries: budget})
+		res, err := sqDBSky(db, Options{MaxQueries: budget})
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("budget %d: want ErrBudget, got %v", budget, err)
 		}
@@ -306,7 +306,7 @@ func TestRateLimitedInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RQDBSky(db, Options{})
+	res, err := rqDBSky(db, Options{})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget from rate limit, got %v", err)
 	}
@@ -319,7 +319,7 @@ func TestTraceMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	data := randData(rng, 250, 3, 25)
 	db := mkDB(t, data, capsAll(3, hidden.RQ), 5, hidden.SumRank{})
-	res, err := RQDBSky(db, Options{Trace: true})
+	res, err := rqDBSky(db, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestSkipProvablyEmptyCostsNoMore(t *testing.T) {
 	data := randData(rng, 150, 3, 10)
 	run := func(skip bool) int {
 		db := mkDB(t, data, capsAll(3, hidden.SQ), 1, hidden.SumRank{})
-		res, err := SQDBSky(db, Options{SkipProvablyEmpty: skip})
+		res, err := sqDBSky(db, Options{SkipProvablyEmpty: skip})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestBandAgainstGroundTruth(t *testing.T) {
 
 			// RQ band.
 			db := mkDB(t, data, capsAll(m, hidden.RQ), 5, hidden.SumRank{})
-			res, err := RQBandSky(db, kBand, Options{})
+			res, err := rqBandSky(db, kBand, Options{})
 			if err != nil {
 				t.Fatalf("RQBandSky: %v", err)
 			}
@@ -397,7 +397,7 @@ func TestBandAgainstGroundTruth(t *testing.T) {
 
 			// PQ band, k >= K fast path.
 			db = mkDB(t, data, capsAll(m, hidden.PQ), 5, hidden.SumRank{})
-			pres, err := PQBandSky(db, kBand, Options{})
+			pres, err := pqBandSky(db, kBand, Options{})
 			if err != nil {
 				t.Fatalf("PQBandSky: %v", err)
 			}
@@ -408,7 +408,7 @@ func TestBandAgainstGroundTruth(t *testing.T) {
 			// PQ band with k < K exercises the 0D cell fallback.
 			if kBand > 1 {
 				db = mkDB(t, data, capsAll(m, hidden.PQ), kBand-1, hidden.SumRank{})
-				pres, err = PQBandSky(db, kBand, Options{})
+				pres, err = pqBandSky(db, kBand, Options{})
 				if err != nil {
 					t.Fatalf("PQBandSky fallback: %v", err)
 				}
@@ -420,7 +420,7 @@ func TestBandAgainstGroundTruth(t *testing.T) {
 			// SQ band: complete runs must match; partial runs must be a
 			// subset with honest flagging.
 			db = mkDB(t, data, capsAll(m, hidden.SQ), kBand+2, hidden.SumRank{})
-			sres, err := SQBandSky(db, kBand, Options{})
+			sres, err := sqBandSky(db, kBand, Options{})
 			if err != nil {
 				t.Fatalf("SQBandSky: %v", err)
 			}
@@ -443,7 +443,7 @@ func TestBandCountsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	data := uniqueData(rng, 120, 3, 8)
 	db := mkDB(t, data, capsAll(3, hidden.RQ), 4, hidden.SumRank{})
-	res, err := RQBandSky(db, 3, Options{})
+	res, err := rqBandSky(db, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestAverageCaseRecurrenceMonteCarlo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := SQDBSky(db, Options{})
+			res, err := sqDBSky(db, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestRealRankingBeatsAverageCase(t *testing.T) {
 		s := 5 + rng.Intn(8)
 		data := antichain(rng, s, 3)
 		db := mkDB(t, data, capsAll(3, hidden.SQ), 1, hidden.SumRank{})
-		res, err := SQDBSky(db, Options{})
+		res, err := sqDBSky(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

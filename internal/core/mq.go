@@ -7,7 +7,7 @@ import (
 	"hiddensky/internal/query"
 )
 
-// MQDBSky discovers the complete skyline of a database whose interface
+// mqDBSky discovers the complete skyline of a database whose interface
 // mixes one-ended range (SQ), two-ended range (RQ) and point (PQ)
 // attributes — the paper's Algorithm 6. Pure interfaces dispatch to the
 // specialized algorithms. For genuine mixtures it proceeds in two phases:
@@ -25,16 +25,16 @@ import (
 //     tuple are skipped outright, and each surviving cell is resolved by
 //     re-running the range-phase tree inside the cell (a tuple dominated
 //     within its cell is dominated globally, so the cell skyline suffices).
-func MQDBSky(db Interface, opt Options) (Result, error) {
+func mqDBSky(db Interface, opt Options) (Result, error) {
 	db, opt = prepare(db, opt)
 	sqA, rqA, pqA := attrsByCap(db)
 	switch {
 	case len(pqA) == 0 && len(rqA) == 0:
-		return SQDBSky(db, opt)
+		return sqDBSky(db, opt)
 	case len(pqA) == 0:
-		return RQDBSky(db, opt)
+		return rqDBSky(db, opt)
 	case len(sqA) == 0 && len(rqA) == 0:
-		return PQDBSky(db, opt)
+		return pqDBSky(db, opt)
 	}
 
 	c := newCtx(db, opt)

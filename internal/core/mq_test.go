@@ -24,7 +24,7 @@ func TestMQRangeOnlyPhaseWouldMissTuples(t *testing.T) {
 	}
 	caps := []hidden.Capability{hidden.RQ, hidden.PQ}
 	db := mkDB(t, data, caps, 1, hidden.AttrRank{Attr: 0})
-	res, err := MQDBSky(db, Options{})
+	res, err := mqDBSky(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMQEq17Pruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	spy := &spyDB{DB: inner}
-	res, err := MQDBSky(spy, Options{})
+	res, err := mqDBSky(spy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMQHierarchicalProbePruning(t *testing.T) {
 	}
 	caps := []hidden.Capability{hidden.RQ, hidden.PQ, hidden.PQ}
 	spy := &spyDB{DB: mkDB(t, data, caps, 2, hidden.SumRank{})}
-	if _, err := MQDBSky(spy, Options{}); err != nil {
+	if _, err := mqDBSky(spy, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range spy.queries {
@@ -173,7 +173,7 @@ func TestMQCellResolution(t *testing.T) {
 	data = append(data, []int{0, 1, 0}) // range-phase favourite
 	caps := []hidden.Capability{hidden.RQ, hidden.PQ, hidden.RQ}
 	db := mkDB(t, data, caps, 1, hidden.LexRank{Priority: []int{1, 0, 2}})
-	res, err := MQDBSky(db, Options{})
+	res, err := mqDBSky(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMQDegenerateDispatch(t *testing.T) {
 		{capsAll(2, hidden.RQ)},
 		{capsAll(2, hidden.PQ)},
 	} {
-		a, err := MQDBSky(mkDB(t, data, tc.caps, 3, hidden.SumRank{}), Options{})
+		a, err := mqDBSky(mkDB(t, data, tc.caps, 3, hidden.SumRank{}), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestMQStress(t *testing.T) {
 		data := randData(rng, 50+rng.Intn(250), m, domain)
 		rk := testRankings[rng.Intn(len(testRankings))]
 		db := mkDB(t, data, caps, 1+rng.Intn(4), rk.rank)
-		res, err := MQDBSky(db, Options{})
+		res, err := mqDBSky(db, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -247,7 +247,7 @@ func TestMQBudgetAnytime(t *testing.T) {
 	truth := tupleSet(skyline.ComputeTuples(data))
 	for _, budget := range []int{2, 10, 50} {
 		db := mkDB(t, data, caps, 2, hidden.SumRank{})
-		res, _ := MQDBSky(db, Options{MaxQueries: budget})
+		res, _ := mqDBSky(db, Options{MaxQueries: budget})
 		for _, s := range res.Skyline {
 			if !truth[fmt.Sprint(s)] {
 				t.Fatalf("budget %d: non-skyline tuple %v in partial result", budget, s)

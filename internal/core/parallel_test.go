@@ -80,12 +80,12 @@ func parallelWorkloads(t *testing.T) []struct {
 		data4 := randData(rng, 300, 4, 25)
 		pqData := randData(rng, 250, 3, 9)
 		out = append(out,
-			wl{"sq-" + r.name, func() *hidden.DB { return mkDB(t, data3, capsAll(3, hidden.SQ), 5, rank) }, SQDBSky},
-			wl{"rq-" + r.name, func() *hidden.DB { return mkDB(t, data4, capsAll(4, hidden.RQ), 5, rank) }, RQDBSky},
-			wl{"pq-" + r.name, func() *hidden.DB { return mkDB(t, pqData, capsAll(3, hidden.PQ), 4, rank) }, PQDBSky},
+			wl{"sq-" + r.name, func() *hidden.DB { return mkDB(t, data3, capsAll(3, hidden.SQ), 5, rank) }, sqDBSky},
+			wl{"rq-" + r.name, func() *hidden.DB { return mkDB(t, data4, capsAll(4, hidden.RQ), 5, rank) }, rqDBSky},
+			wl{"pq-" + r.name, func() *hidden.DB { return mkDB(t, pqData, capsAll(3, hidden.PQ), 4, rank) }, pqDBSky},
 			wl{"mq-" + r.name, func() *hidden.DB {
 				return mkDB(t, data3, []hidden.Capability{hidden.RQ, hidden.SQ, hidden.PQ}, 5, rank)
-			}, MQDBSky},
+			}, mqDBSky},
 		)
 	}
 	return out
@@ -142,7 +142,7 @@ func TestParallelSkylineOrderIsDeterministic(t *testing.T) {
 	data := randData(rng, 500, 3, 30)
 	var prev Result
 	for run := 0; run < 4; run++ {
-		res, err := RQDBSky(mkDB(t, data, capsAll(3, hidden.RQ), 5, hidden.SumRank{}), Options{Parallelism: 8})
+		res, err := rqDBSky(mkDB(t, data, capsAll(3, hidden.RQ), 5, hidden.SumRank{}), Options{Parallelism: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,13 +171,13 @@ func TestParallelBudgetIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	data := randData(rng, 800, 4, 100)
 	const k = 5
-	full, err := RQDBSky(mkDB(t, data, capsAll(4, hidden.RQ), k, hidden.SumRank{}), Options{})
+	full, err := rqDBSky(mkDB(t, data, capsAll(4, hidden.RQ), k, hidden.SumRank{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{1, 7, full.Queries / 3} {
 		inst := &instrumentedDB{db: mkDB(t, data, capsAll(4, hidden.RQ), k, hidden.SumRank{})}
-		res, err := RQDBSky(inst, Options{Parallelism: 8, MaxQueries: budget})
+		res, err := rqDBSky(inst, Options{Parallelism: 8, MaxQueries: budget})
 		// budget*k answered tuples cannot even contain the full skyline ⇒
 		// completion is provably impossible and ErrBudget mandatory; for
 		// looser budgets a (nondeterministically cheaper) parallel run may
@@ -208,7 +208,7 @@ func TestParallelActuallyRunsConcurrently(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := randData(rng, 2000, 4, 60)
 	inst := &instrumentedDB{db: mkDB(t, data, capsAll(4, hidden.RQ), 5, hidden.SumRank{}), delay: time.Millisecond}
-	if _, err := RQDBSky(inst, Options{Parallelism: 8}); err != nil {
+	if _, err := rqDBSky(inst, Options{Parallelism: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if _, maxInUse := inst.stats(); maxInUse < 2 {
@@ -226,8 +226,8 @@ func TestCacheDedupAcrossRuns(t *testing.T) {
 		caps []hidden.Capability
 		algo func(Interface, Options) (Result, error)
 	}{
-		{"rq", capsAll(3, hidden.RQ), RQDBSky},
-		{"pq", capsAll(3, hidden.PQ), PQDBSky},
+		{"rq", capsAll(3, hidden.RQ), rqDBSky},
+		{"pq", capsAll(3, hidden.PQ), pqDBSky},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := randData(rng, 300, 3, 12)

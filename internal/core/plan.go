@@ -21,9 +21,9 @@ import (
 // errors.Is-matches ErrUnsupported — never by silently dropping a
 // request field.
 //
-// The legacy entry points (SQDBSky, RQDBSky, PQDBSky, MQDBSky, the
-// *BandSky family, DiscoverWhere, Session.Resume) remain for paper
-// fidelity; each is now reachable as one point in Request space.
+// The algorithm functions (sqDBSky ... sqBandSky) are unexported: each
+// is one point in Request space, reached only through Run. DiscoverWhere
+// and Session.Resume remain exported for paper fidelity.
 
 // Algo names a discovery algorithm family. The zero value ("") means
 // AlgoAuto: dispatch on the interface's capability mixture.
@@ -354,11 +354,11 @@ func (p *QueryPlan) run(opt Options) (Result, error) {
 		)
 		switch p.Algo {
 		case AlgoRQ:
-			bres, err = RQBandSky(p.db, p.Band, opt)
+			bres, err = rqBandSky(p.db, p.Band, opt)
 		case AlgoPQ:
-			bres, err = PQBandSky(p.db, p.Band, opt)
+			bres, err = pqBandSky(p.db, p.Band, opt)
 		default: // AlgoSQ (Plan admits no other band algorithm)
-			bres, err = SQBandSky(p.db, p.Band, opt)
+			bres, err = sqBandSky(p.db, p.Band, opt)
 		}
 		return Result{
 			Skyline:    bres.Tuples,
@@ -370,13 +370,13 @@ func (p *QueryPlan) run(opt Options) (Result, error) {
 	}
 	switch p.Algo {
 	case AlgoSQ:
-		return SQDBSky(p.db, opt)
+		return sqDBSky(p.db, opt)
 	case AlgoRQ:
-		return RQDBSky(p.db, opt)
+		return rqDBSky(p.db, opt)
 	case AlgoPQ:
-		return PQDBSky(p.db, opt)
+		return pqDBSky(p.db, opt)
 	default: // AlgoMQ
-		return MQDBSky(p.db, opt)
+		return mqDBSky(p.db, opt)
 	}
 }
 

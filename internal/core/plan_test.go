@@ -43,12 +43,12 @@ func TestRunMatchesLegacySkyline(t *testing.T) {
 		{"auto/rq-caps", []hidden.Capability{rq, rq}, Request{}, Discover},
 		{"auto/pq-caps", []hidden.Capability{pq, pq}, Request{}, Discover},
 		{"auto/mixed", []hidden.Capability{sq, rq, pq}, Request{}, Discover},
-		{"sq/explicit", []hidden.Capability{sq, sq}, Request{Algo: AlgoSQ}, SQDBSky},
-		{"sq/on-rq", []hidden.Capability{rq, rq}, Request{Algo: AlgoSQ}, SQDBSky},
-		{"rq/explicit", []hidden.Capability{rq, rq}, Request{Algo: AlgoRQ}, RQDBSky},
-		{"rq/mixed-sq", []hidden.Capability{sq, rq}, Request{Algo: AlgoRQ}, RQDBSky},
-		{"pq/explicit", []hidden.Capability{pq, pq}, Request{Algo: AlgoPQ}, PQDBSky},
-		{"mq/explicit", []hidden.Capability{sq, rq, pq}, Request{Algo: AlgoMQ}, MQDBSky},
+		{"sq/explicit", []hidden.Capability{sq, sq}, Request{Algo: AlgoSQ}, sqDBSky},
+		{"sq/on-rq", []hidden.Capability{rq, rq}, Request{Algo: AlgoSQ}, sqDBSky},
+		{"rq/explicit", []hidden.Capability{rq, rq}, Request{Algo: AlgoRQ}, rqDBSky},
+		{"rq/mixed-sq", []hidden.Capability{sq, rq}, Request{Algo: AlgoRQ}, rqDBSky},
+		{"pq/explicit", []hidden.Capability{pq, pq}, Request{Algo: AlgoPQ}, pqDBSky},
+		{"mq/explicit", []hidden.Capability{sq, rq, pq}, Request{Algo: AlgoMQ}, mqDBSky},
 		{"filter/auto", []hidden.Capability{rq, rq},
 			Request{Filter: query.MustParse("A0<8,A1>=2")},
 			func(db Interface, opt Options) (Result, error) {
@@ -108,13 +108,13 @@ func TestRunMatchesLegacyBand(t *testing.T) {
 		req    Request
 		legacy func(Interface, int, Options) (BandResult, error)
 	}{
-		{"band/auto-rq", []hidden.Capability{rq, rq}, Request{Band: 2}, RQBandSky},
-		{"band/auto-pq", []hidden.Capability{pq, pq}, Request{Band: 2}, PQBandSky},
-		{"band/auto-sq", []hidden.Capability{sq, sq}, Request{Band: 2}, SQBandSky},
-		{"band/auto-sqrq", []hidden.Capability{sq, rq}, Request{Band: 2}, SQBandSky},
-		{"band/explicit-rq", []hidden.Capability{rq, rq}, Request{Algo: AlgoRQ, Band: 3}, RQBandSky},
-		{"band/explicit-pq", []hidden.Capability{pq, pq}, Request{Algo: AlgoPQ, Band: 3}, PQBandSky},
-		{"band/explicit-sq-on-rq", []hidden.Capability{rq, rq}, Request{Algo: AlgoSQ, Band: 2}, SQBandSky},
+		{"band/auto-rq", []hidden.Capability{rq, rq}, Request{Band: 2}, rqBandSky},
+		{"band/auto-pq", []hidden.Capability{pq, pq}, Request{Band: 2}, pqBandSky},
+		{"band/auto-sq", []hidden.Capability{sq, sq}, Request{Band: 2}, sqBandSky},
+		{"band/auto-sqrq", []hidden.Capability{sq, rq}, Request{Band: 2}, sqBandSky},
+		{"band/explicit-rq", []hidden.Capability{rq, rq}, Request{Algo: AlgoRQ, Band: 3}, rqBandSky},
+		{"band/explicit-pq", []hidden.Capability{pq, pq}, Request{Algo: AlgoPQ, Band: 3}, pqBandSky},
+		{"band/explicit-sq-on-rq", []hidden.Capability{rq, rq}, Request{Algo: AlgoSQ, Band: 2}, sqBandSky},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {

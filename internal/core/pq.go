@@ -6,13 +6,13 @@ import (
 	"hiddensky/internal/query"
 )
 
-// PQDBSky discovers the complete skyline of a point-predicate database of
+// pqDBSky discovers the complete skyline of a point-predicate database of
 // any dimensionality — the paper's Algorithm 5. It spans a 2D subspace on
 // the two attributes with the largest domains (their cost is additive; the
 // remaining attributes' is multiplicative), enumerates the value
 // combinations of the remaining attributes in preferential order, and runs
 // the pruned-subspace routine PQ-2DSUB-SKY (Algorithm 4) on each plane.
-func PQDBSky(db Interface, opt Options) (Result, error) {
+func pqDBSky(db Interface, opt Options) (Result, error) {
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
 	if p := c.newPool(); p != nil {

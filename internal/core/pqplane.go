@@ -264,11 +264,11 @@ func (p *plane) run() error {
 	}
 }
 
-// PQ2DSky discovers the complete skyline of a two-attribute point-predicate
+// pq2DSky discovers the complete skyline of a two-attribute point-predicate
 // database — the paper's instance-optimal Algorithm 3. The initial
 // SELECT * answer seeds the two diagonal rectangles of Figure 7; the rest
 // is the shorter-side sweep.
-func PQ2DSky(db Interface, opt Options) (Result, error) {
+func pq2DSky(db Interface, opt Options) (Result, error) {
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
 	if c.m != 2 {

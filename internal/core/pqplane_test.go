@@ -179,7 +179,7 @@ func TestPQ2DExhaustiveTiny(t *testing.T) {
 		}
 		k := 1 + rng.Intn(3)
 		db := mkDB(t, data, capsAll(2, hidden.PQ), k, hidden.SumRank{})
-		res, err := PQ2DSky(db, Options{})
+		res, err := pq2DSky(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestPQSubspacePruningSound(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			data := randData(rng, 60+rng.Intn(100), 3, 4)
 			db := mkDB(t, data, capsAll(3, hidden.PQ), 2, rk.rank)
-			res, err := PQDBSky(db, Options{})
+			res, err := pqDBSky(db, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", rk.name, err)
 			}
@@ -247,7 +247,7 @@ func TestEnumerateCombosOrder(t *testing.T) {
 func TestPQ1D(t *testing.T) {
 	data := [][]int{{7}, {3}, {9}, {3}}
 	db := mkDB(t, data, capsAll(1, hidden.PQ), 1, hidden.SumRank{})
-	res, err := PQDBSky(db, Options{})
+	res, err := pqDBSky(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPQ1D(t *testing.T) {
 func TestPQ2DRejectsWrongDims(t *testing.T) {
 	data := [][]int{{1, 2, 3}}
 	db := mkDB(t, data, capsAll(3, hidden.PQ), 1, hidden.SumRank{})
-	if _, err := PQ2DSky(db, Options{}); err == nil {
+	if _, err := pq2DSky(db, Options{}); err == nil {
 		t.Fatal("3-attribute database accepted by the 2D algorithm")
 	}
 }
@@ -268,7 +268,7 @@ func TestPlaneFixedPredicatesIncluded(t *testing.T) {
 	// In a 3D subspace, every plane query must pin the third attribute.
 	data := randData(rand.New(rand.NewSource(44)), 80, 3, 4)
 	spy := &spyDB{DB: mkDB(t, data, capsAll(3, hidden.PQ), 1, hidden.SumRank{})}
-	if _, err := PQDBSky(spy, Options{}); err != nil {
+	if _, err := pqDBSky(spy, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range spy.queries {
@@ -307,7 +307,7 @@ func TestPaperSection52Construction(t *testing.T) {
 	}
 	for _, rk := range testRankings {
 		db := mkDB(t, data, capsAll(3, hidden.PQ), 2, rk.rank)
-		res, err := PQDBSky(db, Options{})
+		res, err := pqDBSky(db, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", rk.name, err)
 		}
@@ -335,7 +335,7 @@ func TestPaperSection52SubspaceShapes(t *testing.T) {
 	want := skyline.ComputeTuples(data)
 	for _, k := range []int{1, 2} {
 		db := mkDB(t, data, capsAll(3, hidden.PQ), k, hidden.LexRank{Priority: []int{2, 0, 1}})
-		res, err := PQDBSky(db, Options{})
+		res, err := pqDBSky(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

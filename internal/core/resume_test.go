@@ -18,7 +18,7 @@ func TestSessionResumeMatchesOneShot(t *testing.T) {
 		data := randData(rng, 100+rng.Intn(200), 3, 10)
 		k := 1 + rng.Intn(4)
 
-		oneShot, err := SQDBSky(mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{}), Options{})
+		oneShot, err := sqDBSky(mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{}), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestSessionResumeWithParallelismAndCache(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		mk := func() *hidden.DB { return mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{}) }
 
-		oneShot, err := SQDBSky(mk(), Options{})
+		oneShot, err := sqDBSky(mk(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestSessionCheckpointHook(t *testing.T) {
 	data := randData(rng, 800, 4, 40)
 	mk := func() *hidden.DB { return mkDB(t, data, capsAll(4, hidden.SQ), 1, hidden.SumRank{}) }
 
-	oneShot, err := SQDBSky(mk(), Options{})
+	oneShot, err := sqDBSky(mk(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestSQTopAnswersAreSkyline(t *testing.T) {
 		data := randData(rng, 150, 3, 12)
 		truth := tupleSet(skyline.ComputeTuples(data))
 		spy := &spyDB{DB: mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{})}
-		if _, err := SQDBSky(spy, Options{}); err != nil {
+		if _, err := sqDBSky(spy, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		for i, res := range spy.answers {
@@ -56,10 +56,10 @@ func TestAlgorithmsRespectCapabilities(t *testing.T) {
 		caps []hidden.Capability
 		algo func(Interface, Options) (Result, error)
 	}{
-		{capsAll(3, hidden.SQ), SQDBSky},
-		{capsAll(3, hidden.RQ), RQDBSky},
-		{capsAll(3, hidden.PQ), PQDBSky},
-		{[]hidden.Capability{hidden.SQ, hidden.RQ, hidden.PQ}, MQDBSky},
+		{capsAll(3, hidden.SQ), sqDBSky},
+		{capsAll(3, hidden.RQ), rqDBSky},
+		{capsAll(3, hidden.PQ), pqDBSky},
+		{[]hidden.Capability{hidden.SQ, hidden.RQ, hidden.PQ}, mqDBSky},
 	}
 	for _, tc := range cases {
 		data := randData(rng, 120, 3, 6)
@@ -97,11 +97,11 @@ func TestRQBeatsSQOnLargeSkylines(t *testing.T) {
 			c, 31 - c + rng.Intn(5),
 		}
 	}
-	sqRes, err := SQDBSky(mkDB(t, d, capsAll(4, hidden.SQ), 1, hidden.AdversarialRank{}), Options{})
+	sqRes, err := sqDBSky(mkDB(t, d, capsAll(4, hidden.SQ), 1, hidden.AdversarialRank{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rqRes, err := RQDBSky(mkDB(t, d, capsAll(4, hidden.RQ), 1, hidden.AdversarialRank{}), Options{})
+	rqRes, err := rqDBSky(mkDB(t, d, capsAll(4, hidden.RQ), 1, hidden.AdversarialRank{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestLargerKReducesCost(t *testing.T) {
 	data := randData(rng, 600, 3, 40)
 	prev := -1
 	for _, k := range []int{1, 5, 25, 100} {
-		res, err := RQDBSky(mkDB(t, data, capsAll(3, hidden.RQ), k, hidden.SumRank{}), Options{})
+		res, err := rqDBSky(mkDB(t, data, capsAll(3, hidden.RQ), k, hidden.SumRank{}), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +130,8 @@ func TestLargerKReducesCost(t *testing.T) {
 		}
 		prev = res.Queries
 	}
-	small, _ := RQDBSky(mkDB(t, data, capsAll(3, hidden.RQ), 1, hidden.SumRank{}), Options{})
-	large, _ := RQDBSky(mkDB(t, data, capsAll(3, hidden.RQ), 100, hidden.SumRank{}), Options{})
+	small, _ := rqDBSky(mkDB(t, data, capsAll(3, hidden.RQ), 1, hidden.SumRank{}), Options{})
+	large, _ := rqDBSky(mkDB(t, data, capsAll(3, hidden.RQ), 100, hidden.SumRank{}), Options{})
 	if large.Queries > small.Queries {
 		t.Fatalf("k=100 (%d queries) should not cost more than k=1 (%d)", large.Queries, small.Queries)
 	}
@@ -152,7 +152,7 @@ func TestPQ2DCostMatchesEquation11(t *testing.T) {
 			data[i] = []int{rng.Intn(domain), rng.Intn(domain)}
 		}
 		db := mkDB(t, data, capsAll(2, hidden.PQ), 1, hidden.SumRank{})
-		res, err := PQ2DSky(db, Options{})
+		res, err := pq2DSky(db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestTheorem1Construction(t *testing.T) {
 		data = append(data, tup)
 	}
 	db := mkDB(t, data, capsAll(m, hidden.SQ), 1, hidden.AdversarialRank{})
-	checkSkyline(t, db, SQDBSky, "theorem1-construction")
+	checkSkyline(t, db, sqDBSky, "theorem1-construction")
 }
 
 // Filtering attributes (§2.1): appending a filter predicate to every query
@@ -226,7 +226,7 @@ func TestFilterColumnsDoNotPerturbDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSkyline(t, db, RQDBSky, "with-filters")
+	checkSkyline(t, db, rqDBSky, "with-filters")
 }
 
 // The SkipProvablyEmpty optimization must never change the result set.
@@ -235,11 +235,11 @@ func TestSkipEmptyPreservesResults(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		data := randData(rng, 100, 3, 6)
 		caps := capsAll(3, hidden.PQ)
-		a, err := PQDBSky(mkDB(t, data, caps, 2, hidden.SumRank{}), Options{})
+		a, err := pqDBSky(mkDB(t, data, caps, 2, hidden.SumRank{}), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := PQDBSky(mkDB(t, data, caps, 2, hidden.SumRank{}), Options{SkipProvablyEmpty: true})
+		b, err := pqDBSky(mkDB(t, data, caps, 2, hidden.SumRank{}), Options{SkipProvablyEmpty: true})
 		if err != nil {
 			t.Fatal(err)
 		}

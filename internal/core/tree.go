@@ -354,10 +354,10 @@ func allAttrs(m int) []int {
 	return out
 }
 
-// SQDBSky discovers the complete skyline through a one-ended-range (SQ)
+// sqDBSky discovers the complete skyline through a one-ended-range (SQ)
 // interface — the paper's Algorithm 1. It also runs unchanged on RQ
 // interfaces (a strictly stronger capability).
-func SQDBSky(db Interface, opt Options) (Result, error) {
+func sqDBSky(db Interface, opt Options) (Result, error) {
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
 	attrs := allAttrs(c.m)
@@ -370,13 +370,13 @@ func SQDBSky(db Interface, opt Options) (Result, error) {
 	return c.result(w.run())
 }
 
-// RQDBSky discovers the complete skyline through a two-ended-range (RQ)
+// rqDBSky discovers the complete skyline through a two-ended-range (RQ)
 // interface — the paper's Algorithm 2, which prunes subtrees whose
 // mutually-exclusive counterpart R(q) proves empty. Attributes that only
 // support one-ended ranges are handled by omitting their ">=" bounds from
 // R(q), which keeps the traversal correct (R(q) only grows, so no subtree
 // is abandoned wrongly) at some loss of pruning power.
-func RQDBSky(db Interface, opt Options) (Result, error) {
+func rqDBSky(db Interface, opt Options) (Result, error) {
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
 	attrs := allAttrs(c.m)

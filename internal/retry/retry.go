@@ -1,15 +1,21 @@
-// Package retry holds the shared retry policy used by every consumer of a
-// hostile upstream: exponential backoff with deterministic jitter, a hard
-// attempt cap, per-attempt timeouts, and first-class handling of server
-// Retry-After hints. It sits below web and chaos (importing only stdlib)
-// so both the HTTP client and the in-process hardening wrapper speak the
-// same policy, and tests can assert exact backoff schedules.
+// Package retry holds the one retry loop and the one delay schedule used
+// by every consumer of a hostile upstream: exponential backoff with
+// optional jitter, a hard attempt cap, per-attempt timeouts, and
+// first-class handling of server Retry-After hints. Policy.Do is the loop
+// both the HTTP client (web.Client) and the in-process hardening wrapper
+// (chaos.Harden) run; Policy.Backoff also schedules the service's
+// park-and-retry and circuit-breaker delays, so tests can assert exact
+// schedules in one place. It sits below web, chaos and service and
+// imports only hidden, for the rate-limit sentinel it retries.
 package retry
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
+
+	"hiddensky/internal/hidden"
 )
 
 // ErrUnavailable marks a transient upstream failure — a 5xx answer, a
@@ -141,11 +147,33 @@ func (p Policy) Backoff(attempt int, retryAfter time.Duration, rnd func() float6
 	return d
 }
 
-// Transient reports whether err is worth another attempt under this
-// policy: anything wrapping ErrUnavailable. Rate limits are judged by
-// the caller (they carry distinct give-up semantics).
+// Transient reports whether err is a transient upstream failure:
+// anything wrapping ErrUnavailable. Do also retries rate limits; this
+// tells the two apart once the attempts are spent.
 func Transient(err error) bool {
 	return errors.Is(err, ErrUnavailable)
+}
+
+// Do runs try under p (normalized first) until it succeeds, fails with
+// an error that is neither transient nor a rate limit
+// (hidden.ErrRateLimited), or p.Attempts tries are spent. Between tries
+// it waits p.Backoff(attempt, AfterHint(err), rnd) through Sleep, so a
+// done ctx cuts the wait short. It returns the number of tries made and
+// try's last error unchanged, or, when ctx ended a wait, an error
+// wrapping the context's. Retrying is sound only because a failed try
+// returned no data.
+func (p Policy) Do(ctx context.Context, rnd func() float64, try func() error) (attempts int, err error) {
+	p = p.Normalize()
+	for attempts = 1; ; attempts++ {
+		err = try()
+		if err == nil || attempts >= p.Attempts ||
+			!(Transient(err) || errors.Is(err, hidden.ErrRateLimited)) {
+			return attempts, err
+		}
+		if serr := Sleep(ctx, p.Backoff(attempts, AfterHint(err), rnd)); serr != nil {
+			return attempts, fmt.Errorf("retry: aborted while backing off: %w", serr)
+		}
+	}
 }
 
 // Sleep waits for d or until ctx (when non-nil) is done, returning the

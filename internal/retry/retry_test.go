@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"hiddensky/internal/hidden"
 )
 
 func TestNormalizeFillsDefaults(t *testing.T) {
@@ -109,5 +111,74 @@ func TestSleepRespectsContext(t *testing.T) {
 	}
 	if err := Sleep(nil, 0); err != nil {
 		t.Fatalf("zero Sleep errored: %v", err)
+	}
+}
+
+// rateLimited is a hinted rate limit, as web.RateLimitError and
+// chaos.RateLimitedError are.
+type rateLimited struct{ after time.Duration }
+
+func (e *rateLimited) Error() string                 { return "rate limited" }
+func (e *rateLimited) Unwrap() error                 { return hidden.ErrRateLimited }
+func (e *rateLimited) RetryAfterHint() time.Duration { return e.after }
+
+func TestDo(t *testing.T) {
+	transient := fmt.Errorf("503: %w", ErrUnavailable)
+	reset := fmt.Errorf("connection reset: %w", ErrUnavailable)
+	fatal := errors.New("400 bad predicate")
+	limited := &rateLimited{}
+	pol := Policy{Attempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
+		Multiplier: 2, NoJitter: true}
+	for _, tc := range []struct {
+		name         string
+		pol          Policy
+		errs         []error // try's answer per call; past the end: nil
+		wantAttempts int
+		wantErr      error
+		minElapsed   time.Duration
+	}{
+		{"first attempt succeeds", pol, nil, 1, nil, 0},
+		{"transient then success", pol, []error{transient}, 2, nil, time.Millisecond},
+		{"rate limit retried", pol, []error{limited, limited}, 3, nil, 3 * time.Millisecond},
+		{"fatal returns at once", pol, []error{fatal}, 1, fatal, 0},
+		{"attempts spent", pol, []error{transient, limited, reset, nil}, 3, reset, 3 * time.Millisecond},
+		{"hint beats computed wait", Policy{Attempts: 2, BaseBackoff: time.Microsecond, NoJitter: true},
+			[]error{&rateLimited{after: 30 * time.Millisecond}}, 2, nil, 30 * time.Millisecond},
+	} {
+		calls := 0
+		start := time.Now()
+		attempts, err := tc.pol.Do(context.Background(), nil, func() error {
+			calls++
+			if calls <= len(tc.errs) {
+				return tc.errs[calls-1]
+			}
+			return nil
+		})
+		elapsed := time.Since(start)
+		if attempts != tc.wantAttempts || calls != tc.wantAttempts {
+			t.Errorf("%s: attempts = %d (try called %d times), want %d", tc.name, attempts, calls, tc.wantAttempts)
+		}
+		if err != tc.wantErr {
+			t.Errorf("%s: err = %v, want try's last error %v unchanged", tc.name, err, tc.wantErr)
+		}
+		if elapsed < tc.minElapsed {
+			t.Errorf("%s: took %v, want the backoff schedule's %v", tc.name, elapsed, tc.minElapsed)
+		}
+	}
+}
+
+func TestDoCancelledDuringWait(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	p := Policy{Attempts: 3, BaseBackoff: time.Minute, NoJitter: true}
+	start := time.Now()
+	attempts, err := p.Do(ctx, nil, func() error {
+		cancel()
+		return ErrUnavailable
+	})
+	if !errors.Is(err, context.Canceled) || attempts != 1 {
+		t.Fatalf("Do under a cancelled wait = (%d, %v), want (1, context.Canceled)", attempts, err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("cancellation took %v; the backoff was slept out", elapsed)
 	}
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"sync"
 	"time"
+
+	"hiddensky/internal/retry"
 )
 
 // circuitState is a store circuit's position, exported numerically
@@ -40,7 +42,7 @@ const breakerEscalationCap = 5
 // synthetic times.
 type breaker struct {
 	threshold int
-	cooldown  time.Duration
+	cooldown  retry.Policy // the n-th consecutive open lasts cooldown.Backoff(n)
 
 	mu       sync.Mutex
 	state    circuitState
@@ -50,7 +52,8 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
+	return &breaker{threshold: threshold, cooldown: retry.Policy{BaseBackoff: cooldown,
+		MaxBackoff: cooldown << breakerEscalationCap, Multiplier: 2, NoJitter: true}}
 }
 
 // allow reports whether a run against the store may proceed. While the
@@ -100,11 +103,7 @@ func (b *breaker) onFailure(now time.Time) time.Duration {
 	if b.state != circuitHalfOpen && b.failures < b.threshold {
 		return 0
 	}
-	shift := b.trips
-	if shift > breakerEscalationCap {
-		shift = breakerEscalationCap
-	}
-	d := b.cooldown << shift
+	d := b.cooldown.Backoff(b.trips+1, 0, nil)
 	b.trips++
 	b.failures = 0
 	b.state = circuitOpen

@@ -89,6 +89,31 @@ func TestBreakerEscalationCap(t *testing.T) {
 	}
 }
 
+// TestRetryDelaySchedule pins the park-and-retry delay per consecutive
+// no-progress retry: RetryDelay doubling up to MaxRetryDelay (8x by
+// default), and flat at MaxRetryDelay when it is below RetryDelay.
+func TestRetryDelaySchedule(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want [6]time.Duration
+	}{
+		{"defaults", Config{}, [6]time.Duration{
+			15 * time.Second, 30 * time.Second, 60 * time.Second, 120 * time.Second, 120 * time.Second, 120 * time.Second}},
+		{"default cap", Config{RetryDelay: 10 * ms}, [6]time.Duration{10 * ms, 20 * ms, 40 * ms, 80 * ms, 80 * ms, 80 * ms}},
+		{"uneven cap", Config{RetryDelay: 3 * ms, MaxRetryDelay: 20 * ms}, [6]time.Duration{3 * ms, 6 * ms, 12 * ms, 20 * ms, 20 * ms, 20 * ms}},
+		{"cap below base", Config{RetryDelay: 10 * ms, MaxRetryDelay: 5 * ms}, [6]time.Duration{5 * ms, 5 * ms, 5 * ms, 5 * ms, 5 * ms, 5 * ms}},
+	} {
+		m := &Manager{cfg: tc.cfg}
+		for n, want := range tc.want {
+			if got := m.retryDelayFor(n); got != want {
+				t.Errorf("%s: retryDelayFor(%d) = %v, want %v", tc.name, n, got, want)
+			}
+		}
+	}
+}
+
 // TestBreakerDisabled: a negative threshold turns the per-store
 // breakers off entirely.
 func TestBreakerDisabled(t *testing.T) {
@@ -136,7 +161,7 @@ func TestCircuitOpensAndAnswersServeWhileDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := &outageDB{Interface: db}
-	baseline, err := core.SQDBSky(hidden.MustNew(d.Config(10, nil)), core.Options{})
+	baseline, err := core.Run(hidden.MustNew(d.Config(10, nil)), core.Request{Algo: core.AlgoSQ}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +301,7 @@ func TestCircuitOpensAndAnswersServeWhileDown(t *testing.T) {
 func TestChaosKillRestartResumesExactly(t *testing.T) {
 	dir := t.TempDir()
 	d := testDataset(22, 400)
-	baseline, err := core.SQDBSky(d.DB(3, hidden.SumRank{}), core.Options{})
+	baseline, err := core.Run(d.DB(3, hidden.SumRank{}), core.Request{Algo: core.AlgoSQ}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestHTTPSubmitWatchResult(t *testing.T) {
 		t.Fatal("watch saw no updates")
 	}
 
-	want, err := core.SQDBSky(d.DB(4, hidden.SumRank{}), core.Options{})
+	want, err := core.Run(d.DB(4, hidden.SumRank{}), core.Request{Algo: core.AlgoSQ}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

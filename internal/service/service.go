@@ -1278,32 +1278,18 @@ func (m *Manager) shouldRetry(j *job, oc outcome) bool {
 	return j.noProgress < maxNoProgressRetries
 }
 
-func (m *Manager) retryDelay() time.Duration {
-	if m.cfg.RetryDelay > 0 {
-		return m.cfg.RetryDelay
-	}
-	return 15 * time.Second
-}
-
-func (m *Manager) maxRetryDelay() time.Duration {
-	if m.cfg.MaxRetryDelay > 0 {
-		return m.cfg.MaxRetryDelay
-	}
-	return 8 * m.retryDelay()
-}
-
 // retryDelayFor escalates the park-and-retry delay with consecutive
-// no-progress retries: base << n, capped at MaxRetryDelay.
+// no-progress retries: RetryDelay (15s) doubled n times, capped at
+// MaxRetryDelay (8x RetryDelay).
 func (m *Manager) retryDelayFor(noProgress int) time.Duration {
-	d, lim := m.retryDelay(), m.maxRetryDelay()
-	if noProgress > 16 {
-		noProgress = 16
+	p := retry.Policy{BaseBackoff: m.cfg.RetryDelay, MaxBackoff: m.cfg.MaxRetryDelay, Multiplier: 2, NoJitter: true}
+	if p.BaseBackoff <= 0 {
+		p.BaseBackoff = 15 * time.Second
 	}
-	d <<= noProgress
-	if d > lim || d <= 0 {
-		d = lim
+	if p.MaxBackoff <= 0 {
+		p.MaxBackoff = 8 * p.BaseBackoff
 	}
-	return d
+	return p.Backoff(noProgress+1, 0, nil)
 }
 
 // requeueAfter puts the job back on the FIFO queue once the retry delay

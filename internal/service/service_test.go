@@ -124,7 +124,7 @@ func TestConcurrencyGate(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
-	want, err := core.SQDBSky(d.DB(5, hidden.SumRank{}), core.Options{})
+	want, err := core.Run(d.DB(5, hidden.SumRank{}), core.Request{Algo: core.AlgoSQ}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestKillRestartResumesExactly(t *testing.T) {
 	dir := t.TempDir()
 	d := testDataset(2, 400)
 	mkdb := func() core.Interface { return d.DB(3, hidden.SumRank{}) }
-	baseline, err := core.SQDBSky(mkdb(), core.Options{})
+	baseline, err := core.Run(mkdb(), core.Request{Algo: core.AlgoSQ}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func (d *quotaDB) Query(q query.Q) (hidden.Result, error) {
 func TestRateLimitedResumableJobParksAndRetries(t *testing.T) {
 	d := testDataset(15, 300)
 	mkdb := func() core.Interface { return d.DB(3, hidden.SumRank{}) }
-	baseline, err := core.SQDBSky(mkdb(), core.Options{})
+	baseline, err := core.Run(mkdb(), core.Request{Algo: core.AlgoSQ}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,34 +20,24 @@ import (
 	"hiddensky/internal/retry"
 )
 
-// DefaultRetryBackoff is the first backoff of the default retry policy
-// when the server sends no Retry-After header (kept for compatibility
-// with SetRetryBackoff; see SetRetryPolicy for full control).
-const DefaultRetryBackoff = 250 * time.Millisecond
-
-// maxRetryAfter caps how long Query honors a server-provided Retry-After.
-const maxRetryAfter = 5 * time.Second
-
 // RateLimitError reports that the remote endpoint kept rate-limiting the
 // client until its retry policy gave up. It unwraps to
 // hidden.ErrRateLimited, so errors.Is(err, hiddensky.ErrRateLimited) holds
 // and the discovery algorithms treat it as their anytime budget stop.
 type RateLimitError struct {
-	// RetryAfter is the server-suggested wait (zero when not advertised).
+	// RetryAfter is the last answer's Retry-After, as the server sent it
+	// (zero when not advertised); the retry policy's RetryAfterCap
+	// bounds how long the client actually waits.
 	RetryAfter time.Duration
-	// Attempts is how many round trips answered 429 before giving up.
+	// Attempts is how many round trips were tried before giving up.
 	Attempts int
 }
 
 func (e *RateLimitError) Error() string {
-	n := e.Attempts
-	if n < 1 {
-		n = 2
-	}
 	if e.RetryAfter > 0 {
-		return fmt.Sprintf("web: remote answered 429 %d times (retry after %v)", n, e.RetryAfter)
+		return fmt.Sprintf("web: remote answered 429 %d times (retry after %v)", e.Attempts, e.RetryAfter)
 	}
-	return fmt.Sprintf("web: remote answered 429 %d times", n)
+	return fmt.Sprintf("web: remote answered 429 %d times", e.Attempts)
 }
 
 func (e *RateLimitError) Unwrap() error { return hidden.ErrRateLimited }
@@ -91,8 +81,6 @@ type Client struct {
 	names   []string
 	queries *atomic.Int64
 	policy  *atomic.Pointer[retry.Policy] // nil entry = default policy
-	jmu     *sync.Mutex                   // guards jrng (shared by views)
-	jrng    *rand.Rand                    // backoff jitter stream
 	metrics *ClientMetrics                // nil: uninstrumented; shared by WithContext views
 
 	name       string      // store label for span annotations ("" ok)
@@ -161,8 +149,6 @@ func Dial(baseURL string, httpClient *http.Client) (*Client, error) {
 		http:    httpClient,
 		queries: new(atomic.Int64),
 		policy:  new(atomic.Pointer[retry.Policy]),
-		jmu:     new(sync.Mutex),
-		jrng:    rand.New(rand.NewSource(rand.Int63())),
 	}
 	resp, err := c.http.Get(c.base + "/v1/meta")
 	if err != nil {
@@ -201,31 +187,12 @@ func (c *Client) SetRetryPolicy(p retry.Policy) {
 	c.policy.Store(&p)
 }
 
-// SetRetryBackoff overrides the first backoff between attempts
-// (DefaultRetryBackoff when unset; a server Retry-After still wins) and
-// pins jitter off, preserving the pre-policy fixed-wait behaviour. Use
-// SetRetryPolicy for full control.
-func (c *Client) SetRetryBackoff(d time.Duration) {
-	p := c.retryPolicy()
-	p.BaseBackoff = d
-	p.NoJitter = true
-	p.Jitter = 0
-	c.policy.Store(&p)
-}
-
 // retryPolicy returns the active normalized policy.
 func (c *Client) retryPolicy() retry.Policy {
 	if p := c.policy.Load(); p != nil {
 		return *p
 	}
-	return retry.Policy{BaseBackoff: DefaultRetryBackoff, RetryAfterCap: maxRetryAfter}.Normalize()
-}
-
-// jitter draws from the shared backoff-jitter stream.
-func (c *Client) jitter() float64 {
-	c.jmu.Lock()
-	defer c.jmu.Unlock()
-	return c.jrng.Float64()
+	return retry.Policy{}.Normalize()
 }
 
 // WithContext returns a view of the client whose requests (and 429
@@ -264,19 +231,20 @@ func (c *Client) reqCtx() context.Context {
 }
 
 // Query implements core.Interface with one HTTP search request, retried
-// under the client's retry policy (SetRetryPolicy; defaults otherwise).
+// by retry.Policy.Do under the client's retry policy (SetRetryPolicy;
+// defaults otherwise) — the same loop chaos.Harden runs in-process.
 // Recoverable failures — 429s, 5xx answers, connection resets, truncated
 // bodies, per-attempt timeouts — back off exponentially with jitter, a
-// server Retry-After always winning over the computed wait; transient
-// trouble is the norm mid-discovery and a raw error would abort an
-// otherwise healthy run. Once the policy's attempts are spent, a
-// persistent 429 returns a *RateLimitError (errors.Is-matches
-// hiddensky.ErrRateLimited, discovery's anytime budget stop) and a
-// persistent transient failure returns a *TransientError (errors.Is-
-// matches retry.ErrUnavailable, the service layer's park-and-break
-// signal). Retrying never double-counts: a failed attempt returned no
-// data, so the eventual answer is the one a clean upstream would have
-// given.
+// server Retry-After (capped by the policy's RetryAfterCap) winning over
+// the computed wait; transient trouble is the norm mid-discovery and a
+// raw error would abort an otherwise healthy run. Once the policy's
+// attempts are spent, a persistent 429 returns a *RateLimitError
+// (errors.Is-matches hiddensky.ErrRateLimited, discovery's anytime
+// budget stop) and a persistent transient failure returns a
+// *TransientError (errors.Is-matches retry.ErrUnavailable, the service
+// layer's park-and-break signal). Retrying never double-counts: a failed
+// attempt returned no data, so the eventual answer is the one a clean
+// upstream would have given.
 func (c *Client) Query(q query.Q) (hidden.Result, error) {
 	req := SearchRequest{}
 	for _, p := range q {
@@ -300,56 +268,39 @@ func (c *Client) Query(q query.Q) (hidden.Result, error) {
 		}
 		sp.SetInt("key", int64(c.queryKey(q)))
 	}
-	var retries int64
-	for attempt := 1; ; attempt++ {
-		res, retryAfter, err := c.search(body, pol.PerAttemptTimeout)
-		if err == nil {
-			c.observeRetries(retries)
-			c.endQuerySpan(&sp, &res, retries)
-			return res, nil
-		}
-		rateLimited := isRateLimited(err)
-		if !rateLimited && !retry.Transient(err) {
-			return res, err
-		}
-		if attempt >= pol.Attempts {
-			c.observeRetries(retries)
-			if rateLimited {
-				sp.Rename("web.rate_limited")
-				sp.SetInt("status", http.StatusTooManyRequests)
-				sp.SetInt("retries", retries)
-				sp.End()
-				return hidden.Result{}, &RateLimitError{RetryAfter: retryAfter, Attempts: attempt}
-			}
-			sp.Rename("web.unavailable")
-			sp.SetInt("retries", retries)
-			sp.End()
-			return hidden.Result{}, &TransientError{Attempts: attempt, Err: err}
-		}
-		if m := c.metrics; m != nil && m.Retries != nil {
-			m.Retries.Inc()
-		}
-		wait := pol.Backoff(attempt, retryAfter, c.jitter)
-		if serr := sleepCtx(c.ctx, wait); serr != nil {
-			return hidden.Result{}, fmt.Errorf("web: aborted while backing off: %w", serr)
-		}
-		retries++
+	var res hidden.Result
+	attempts, err := pol.Do(c.reqCtx(), rand.Float64, func() (err error) {
+		res, err = c.search(body, pol.PerAttemptTimeout)
+		return err
+	})
+	retries := int64(attempts - 1)
+	if m := c.metrics; m != nil && m.Retries != nil && retries > 0 {
+		m.Retries.Add(retries)
 	}
-}
-
-// observeRetries feeds the upstream_retry_attempts histogram.
-func (c *Client) observeRetries(retries int64) {
+	// Do hands back the last attempt's error unchanged: a rate limit or
+	// a transient failure here means the attempts are spent.
+	rle, limited := err.(*RateLimitError)
+	if err != nil && !limited && !retry.Transient(err) {
+		return hidden.Result{}, err
+	}
 	if m := c.metrics; m != nil && m.RetryAttempts != nil {
 		m.RetryAttempts.Observe(time.Duration(retries))
 	}
-}
-
-// endQuerySpan finishes a successful query's span.
-func (c *Client) endQuerySpan(sp *obs.Span, res *hidden.Result, retries int64) {
-	sp.SetInt("tuples", int64(len(res.Tuples)))
-	sp.SetInt("status", http.StatusOK)
+	switch {
+	case err == nil:
+		sp.SetInt("tuples", int64(len(res.Tuples)))
+		sp.SetInt("status", http.StatusOK)
+	case limited:
+		rle.Attempts = attempts
+		sp.Rename("web.rate_limited")
+		sp.SetInt("status", http.StatusTooManyRequests)
+	default:
+		sp.Rename("web.unavailable")
+		err = &TransientError{Attempts: attempts, Err: err}
+	}
 	sp.SetInt("retries", retries)
 	sp.End()
+	return res, err
 }
 
 // queryKey fingerprints the query's canonical box under the remote
@@ -359,13 +310,6 @@ func (c *Client) endQuerySpan(sp *obs.Span, res *hidden.Result, retries int64) {
 func (c *Client) queryKey(q query.Q) uint64 {
 	var ivArr [16]query.Interval // wider schemas allocate the box
 	return q.CanonicalizeInto(ivArr[:0], c.domains).Fingerprint()
-}
-
-// errRemoteRateLimited marks a single 429 answer internally.
-var errRemoteRateLimited = fmt.Errorf("%w: remote answered 429", hidden.ErrRateLimited)
-
-func isRateLimited(err error) bool {
-	return err == errRemoteRateLimited
 }
 
 // transientf builds a retryable error (wrapping retry.ErrUnavailable)
@@ -380,12 +324,13 @@ func (c *Client) transientf(format string, args ...any) error {
 // search performs one POST /v1/search round trip, bounded by timeout
 // when positive. The response body is always drained so the keep-alive
 // connection can be reused by the next (possibly concurrent) query.
+// A 429 returns a *RateLimitError carrying the answer's Retry-After.
 // Failures the retry loop may take another attempt at — transport errors
 // and timeouts with the parent context still live, 5xx answers, bodies
 // that fail to decode (truncated mid-payload) — wrap
 // retry.ErrUnavailable; protocol errors (bad predicate, implausible
 // status) stay fatal.
-func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, time.Duration, error) {
+func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, error) {
 	ctx := c.reqCtx()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -394,7 +339,7 @@ func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, time
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/search", bytes.NewReader(body))
 	if err != nil {
-		return hidden.Result{}, 0, fmt.Errorf("web: building search request: %w", err)
+		return hidden.Result{}, fmt.Errorf("web: building search request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if c.traceID != "" {
@@ -406,9 +351,9 @@ func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, time
 		if c.ctx != nil && c.ctx.Err() != nil {
 			// The job itself was cancelled — not the upstream's fault,
 			// and not worth another attempt.
-			return hidden.Result{}, 0, fmt.Errorf("web: search request: %w", err)
+			return hidden.Result{}, fmt.Errorf("web: search request: %w", err)
 		}
-		return hidden.Result{}, 0, c.transientf("web: search request: %v", err)
+		return hidden.Result{}, c.transientf("web: search request: %v", err)
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -420,21 +365,21 @@ func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, time
 		if m := c.metrics; m != nil && m.RateLimited != nil {
 			m.RateLimited.Inc()
 		}
-		return hidden.Result{}, parseRetryAfter(resp.Header.Get("Retry-After")), errRemoteRateLimited
+		return hidden.Result{}, &RateLimitError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 	case resp.StatusCode == http.StatusBadRequest:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return hidden.Result{}, 0, fmt.Errorf("%w: %s", hidden.ErrUnsupportedPredicate, strings.TrimSpace(string(msg)))
+		return hidden.Result{}, fmt.Errorf("%w: %s", hidden.ErrUnsupportedPredicate, strings.TrimSpace(string(msg)))
 	case resp.StatusCode >= 500:
-		return hidden.Result{}, 0, c.transientf("web: search answered %s", resp.Status)
+		return hidden.Result{}, c.transientf("web: search answered %s", resp.Status)
 	default:
-		return hidden.Result{}, 0, fmt.Errorf("web: search answered %s", resp.Status)
+		return hidden.Result{}, fmt.Errorf("web: search answered %s", resp.Status)
 	}
 	var sr SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		// A decode failure on a 200 means the body was cut mid-payload
 		// (or the connection dropped); the answer was never counted, so
 		// another attempt is safe.
-		return hidden.Result{}, 0, c.transientf("web: decoding search response: %v", err)
+		return hidden.Result{}, c.transientf("web: decoding search response: %v", err)
 	}
 	c.queries.Add(1)
 	if m := c.metrics; m != nil {
@@ -445,28 +390,11 @@ func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, time
 			m.QuerySeconds.Observe(time.Since(t0))
 		}
 	}
-	return hidden.Result{Tuples: sr.Tuples, Overflow: sr.Overflow}, 0, nil
+	return hidden.Result{Tuples: sr.Tuples, Overflow: sr.Overflow}, nil
 }
 
-// sleepCtx waits for d or until ctx (when non-nil) is cancelled,
-// returning the context's error in the latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// parseRetryAfter reads a seconds-valued Retry-After header, capped to
-// keep a misbehaving server from stalling discovery.
+// parseRetryAfter reads a seconds-valued Retry-After header as sent;
+// the retry policy's RetryAfterCap bounds the wait it causes.
 func parseRetryAfter(h string) time.Duration {
 	if h == "" {
 		return 0
@@ -475,11 +403,10 @@ func parseRetryAfter(h string) time.Duration {
 	if err != nil || secs < 0 {
 		return 0
 	}
-	d := time.Duration(secs) * time.Second
-	if d > maxRetryAfter {
-		d = maxRetryAfter
+	if int64(secs) > math.MaxInt64/int64(time.Second) {
+		return math.MaxInt64 // beyond time.Duration: wait as long as the policy allows
 	}
-	return d
+	return time.Duration(secs) * time.Second
 }
 
 // NumAttrs implements core.Interface.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hiddensky/internal/hidden"
+	"hiddensky/internal/retry"
 )
 
 func metaHandler() http.HandlerFunc {
@@ -40,7 +41,7 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.SetRetryBackoff(30 * time.Second)
+	base.SetRetryPolicy(retry.Policy{BaseBackoff: 30 * time.Second, NoJitter: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	c := base.WithContext(ctx)
 	go func() {

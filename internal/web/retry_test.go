@@ -50,7 +50,7 @@ func TestClientRetriesOnceOn429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryBackoff(time.Millisecond)
+	c.SetRetryPolicy(retry.Policy{BaseBackoff: time.Millisecond, NoJitter: true})
 	res, err := c.Query(query.Q{{Attr: 0, Op: query.LT, Value: 9}})
 	if err != nil {
 		t.Fatalf("a single 429 must be retried away, got %v", err)
@@ -130,6 +130,33 @@ func TestClientHonorsRetryAfterHeader(t *testing.T) {
 	}
 	if hits.Load() != 2 {
 		t.Fatalf("server saw %d attempts, want 2", hits.Load())
+	}
+}
+
+// TestClientReportsUnclampedRetryAfter: the typed error carries the
+// server's Retry-After as sent; only the policy's RetryAfterCap bounds
+// the wait, so a hint above the default cap is not silently shortened.
+func TestClientReportsUnclampedRetryAfter(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/meta", metaHandler())
+	mux.HandleFunc("/v1/search", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "8")
+		w.WriteHeader(http.StatusTooManyRequests)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	c, err := Dial(srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRetryPolicy(retry.Policy{Attempts: 1}) // one try: nothing sleeps
+	_, err = c.Query(nil)
+	var rle *RateLimitError
+	if !errors.As(err, &rle) {
+		t.Fatalf("err = %v, want *RateLimitError", err)
+	}
+	if rle.RetryAfter != 8*time.Second || rle.Attempts != 1 {
+		t.Fatalf("RetryAfter = %v, Attempts = %d; want 8s as sent and 1", rle.RetryAfter, rle.Attempts)
 	}
 }
 
