@@ -387,6 +387,19 @@ func (s *Store) checkQuery(q *TopKQuery) error {
 	if q.K <= 0 {
 		return fmt.Errorf("%w: k must be >= 1, got %d", ErrBadQuery, q.K)
 	}
+	// Finite weights can still overflow a score: bound |score| over the
+	// stored value ranges (unit columns when normalized).
+	bound := 0.0
+	for a, w := range q.Weights {
+		b := 1.0
+		if !q.Normalized {
+			b = max(math.Abs(float64(s.lo[a])), math.Abs(float64(s.hi[a])))
+		}
+		bound += w * b
+	}
+	if math.IsInf(bound, 0) {
+		return fmt.Errorf("%w: weights %v overflow the score range", ErrBadQuery, q.Weights)
+	}
 	for _, r := range q.Filter {
 		if r.Attr < 0 || r.Attr >= s.m {
 			return fmt.Errorf("%w: filter attribute %d out of range [0,%d)", ErrBadQuery, r.Attr, s.m)

@@ -1,6 +1,7 @@
 package answer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -448,6 +449,41 @@ func BenchmarkTopKFiltered(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.TopK(TopKQuery{Weights: w, K: 10, Filter: f}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTopKRejectsOverflowingScores: finite, non-negative weights whose
+// scores overflow float64 over the stored value ranges are a bad query
+// (an Inf score cannot be ranked or encoded), single and batched; the
+// normalized bound uses unit columns, so the same weights pass there
+// only while Σw stays finite.
+func TestTopKRejectsOverflowingScores(t *testing.T) {
+	s, _ := Build([][]int{{1, 20}, {3, 10}}, Options{})
+	for _, q := range []TopKQuery{
+		{Weights: []float64{1e308, 1e308}, K: 1},
+		{Weights: []float64{0, 1e307}, K: 1},
+		{Weights: []float64{math.MaxFloat64, math.MaxFloat64}, K: 1, Normalized: true},
+	} {
+		if _, err := s.TopK(q); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("query %+v: err=%v, want ErrBadQuery", q, err)
+		}
+		if _, err := s.TopKBatch([]TopKQuery{{Weights: []float64{1, 1}, K: 1}, q}); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("batch with %+v: err=%v, want ErrBadQuery", q, err)
+		}
+	}
+	for _, q := range []TopKQuery{
+		{Weights: []float64{1e300, 1e300}, K: 2},
+		{Weights: []float64{5e307, 5e307}, K: 2, Normalized: true},
+	} {
+		res, err := s.TopK(q)
+		if err != nil {
+			t.Fatalf("query %+v: %v", q, err)
+		}
+		for _, it := range res.Items {
+			if math.IsInf(it.Score, 0) || math.IsNaN(it.Score) {
+				t.Fatalf("query %+v scored %v", q, it.Score)
+			}
 		}
 	}
 }

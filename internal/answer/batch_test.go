@@ -10,6 +10,7 @@ package answer
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -87,12 +88,10 @@ func TestTopKBatchParityQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.shard = 64
-	abs := func(v float64) float64 {
-		if v < 0 {
-			return -v
-		}
-		return v
-	}
+	// testing/quick draws float64s from ±MaxFloat64, which would make
+	// every score overflow (a bad query, see
+	// TestTopKRejectsOverflowingScores); scale them into [0, 100].
+	abs := func(v float64) float64 { return math.Abs(v) / math.MaxFloat64 * 100 }
 	prop := func(w0, w1, w2, v0, v1, v2 float64, k0, k1 uint8, norm0, norm1 bool, fAttr uint8, fLo int8, fSpan uint8) bool {
 		qa := TopKQuery{Weights: []float64{abs(w0), abs(w1), abs(w2) + 0.01}, K: 1 + int(k0), Normalized: norm0}
 		qb := TopKQuery{Weights: []float64{abs(v0), abs(v1), abs(v2) + 0.01}, K: 1 + int(k1), Normalized: norm1}

@@ -8,6 +8,7 @@ package answer
 // filters (none, selective, empty, unbounded), and normalization.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -102,12 +103,10 @@ func TestTopKParityQuick(t *testing.T) {
 	}
 	s.shard = 64
 	prop := func(w0, w1, w2 float64, k uint8, normalized bool, fAttr uint8, fLo int8, fSpan uint8) bool {
-		abs := func(v float64) float64 {
-			if v < 0 {
-				return -v
-			}
-			return v
-		}
+		// testing/quick draws float64s from ±MaxFloat64, which would
+		// make every score overflow (a bad query, see
+		// TestTopKRejectsOverflowingScores); scale them into [0, 100].
+		abs := func(v float64) float64 { return math.Abs(v) / math.MaxFloat64 * 100 }
 		q := TopKQuery{
 			Weights:    []float64{abs(w0), abs(w1), abs(w2) + 0.01},
 			K:          1 + int(k),

@@ -162,11 +162,9 @@ func (p Profile) ScheduledCounts(n int64) map[Kind]int64 {
 	return out
 }
 
-// String renders the profile as a spec parseable by ParseProfile.
+// String renders the profile as a spec parseable by ParseProfile: every
+// field but Name round-trips, and a profile with nothing set is "off".
 func (p Profile) String() string {
-	if !p.Active() {
-		return "off"
-	}
 	var parts []string
 	add := func(s string) { parts = append(parts, s) }
 	if p.Down {
@@ -191,7 +189,7 @@ func (p Profile) String() string {
 	if p.TruncateEvery > 0 {
 		add(fmt.Sprintf("trunc=%d", p.TruncateEvery))
 	}
-	if p.StallEvery > 0 && p.Stall > 0 {
+	if p.StallEvery > 0 {
 		add(fmt.Sprintf("stall=%d:%s", p.StallEvery, p.Stall))
 	}
 	if p.Latency > 0 {
@@ -208,6 +206,9 @@ func (p Profile) String() string {
 	}
 	if p.Seed != 0 {
 		add(fmt.Sprintf("seed=%d", p.Seed))
+	}
+	if len(parts) == 0 {
+		return "off"
 	}
 	return strings.Join(parts, ",")
 }
@@ -280,7 +281,7 @@ func ParseProfile(spec string) (Profile, error) {
 		case "rl":
 			p.RateLimitEvery, p.RateLimitBurst, err = parseEveryBurst(val)
 		case "ra":
-			p.RetryAfter, err = time.ParseDuration(val)
+			p.RetryAfter, err = parseDuration(val)
 		case "err":
 			p.ErrorEvery, err = parsePositive(val)
 		case "reset":
@@ -292,9 +293,9 @@ func ParseProfile(spec string) (Profile, error) {
 			p.StallEvery, d, err = parseEveryDuration(val)
 			p.Stall = d
 		case "lat":
-			p.Latency, err = time.ParseDuration(val)
+			p.Latency, err = parseDuration(val)
 		case "jit":
-			p.LatencyJitter, err = time.ParseDuration(val)
+			p.LatencyJitter, err = parseDuration(val)
 		case "quota":
 			var d time.Duration
 			p.QuotaBurst, d, err = parseEveryDuration(val)
@@ -346,8 +347,18 @@ func parseEveryDuration(s string) (every int, d time.Duration, err error) {
 	if !has {
 		return 0, 0, fmt.Errorf("want N:duration")
 	}
-	if d, err = time.ParseDuration(ds); err != nil {
+	if d, err = parseDuration(ds); err != nil {
 		return 0, 0, err
 	}
 	return every, d, nil
+}
+
+// parseDuration is time.ParseDuration without negative durations, which
+// no profile field means anything by.
+func parseDuration(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		return 0, fmt.Errorf("must be >= 0")
+	}
+	return d, err
 }

@@ -68,6 +68,11 @@ var (
 	// ErrRateLimited is returned once the per-client query budget is
 	// exhausted (the paper's per-IP / per-API-key limits).
 	ErrRateLimited = errors.New("hidden: query rate limit exceeded")
+	// ErrQuotaExhausted is returned once a QueryLimit budget is spent.
+	// That budget never refills, so waiting and retrying cannot help;
+	// it wraps ErrRateLimited, so every anytime-stop check still
+	// matches it.
+	ErrQuotaExhausted = fmt.Errorf("%w: query quota exhausted", ErrRateLimited)
 	// ErrBadQuery is returned for malformed queries (unknown attribute...).
 	ErrBadQuery = errors.New("hidden: malformed query")
 )
@@ -104,7 +109,7 @@ type Config struct {
 	// SumRank is used.
 	Rank Ranking
 	// QueryLimit, when positive, bounds the number of Query calls before
-	// ErrRateLimited; zero means unlimited.
+	// ErrQuotaExhausted (an ErrRateLimited); zero means unlimited.
 	QueryLimit int
 	// Filters optionally carries per-tuple filtering-attribute values
 	// (e.g., strings such as flight numbers). Filtering attributes have no
@@ -361,7 +366,7 @@ func (db *DB) queryInternal(q query.Q) (Result, [][]string, error) {
 	db.mu.Lock()
 	if db.queryLimit > 0 && db.queries >= db.queryLimit {
 		db.mu.Unlock()
-		return Result{}, nil, ErrRateLimited
+		return Result{}, nil, ErrQuotaExhausted
 	}
 	db.queries++
 	db.mu.Unlock()

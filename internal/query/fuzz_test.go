@@ -1,6 +1,8 @@
 package query
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +40,30 @@ func FuzzCanonicalizeEquivalence(f *testing.F) {
 		norm := q.Normalize(domains)
 		if norm.Matches(tuple) != q.Matches(tuple) {
 			t.Fatalf("normalize changed semantics: %v vs %v on %v", q, norm, tuple)
+		}
+	})
+}
+
+// FuzzParse: Parse never panics, every operator it yields is Valid, and
+// the predicates' String forms joined by commas parse back to an equal
+// query. Seeds: testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		q, err := Parse(s)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(q))
+		for i, p := range q {
+			if !p.Op.Valid() {
+				t.Fatalf("Parse(%q) yielded invalid operator %v", s, p.Op)
+			}
+			parts[i] = p.String()
+		}
+		joined := strings.Join(parts, ",")
+		back, err := Parse(joined)
+		if err != nil || !reflect.DeepEqual(back, q) {
+			t.Fatalf("Parse(%q) = %v; its rendering %q parses to %v (err %v)", s, q, joined, back, err)
 		}
 	})
 }

@@ -156,24 +156,33 @@ func Transient(err error) bool {
 
 // Do runs try under p (normalized first) until it succeeds, fails with
 // an error that is neither transient nor a rate limit
-// (hidden.ErrRateLimited), or p.Attempts tries are spent. Between tries
-// it waits p.Backoff(attempt, AfterHint(err), rnd) through Sleep, so a
-// done ctx cuts the wait short. It returns the number of tries made and
-// try's last error unchanged, or, when ctx ended a wait, an error
-// wrapping the context's. Retrying is sound only because a failed try
-// returned no data.
+// (hidden.ErrRateLimited), fails with a spent quota
+// (hidden.ErrQuotaExhausted, which never refills), or p.Attempts tries
+// are spent. Between tries it waits p.Backoff(attempt, AfterHint(err),
+// rnd) through Sleep, so a done ctx cuts the wait short. It returns the
+// number of tries made and try's last error unchanged, or, when ctx
+// ended a wait, an error wrapping the context's. Retrying is sound only
+// because a failed try returned no data.
 func (p Policy) Do(ctx context.Context, rnd func() float64, try func() error) (attempts int, err error) {
 	p = p.Normalize()
 	for attempts = 1; ; attempts++ {
 		err = try()
-		if err == nil || attempts >= p.Attempts ||
-			!(Transient(err) || errors.Is(err, hidden.ErrRateLimited)) {
+		if err == nil || attempts >= p.Attempts || !retryable(err) {
 			return attempts, err
 		}
 		if serr := Sleep(ctx, p.Backoff(attempts, AfterHint(err), rnd)); serr != nil {
 			return attempts, fmt.Errorf("retry: aborted while backing off: %w", serr)
 		}
 	}
+}
+
+// retryable reports whether waiting may cure err: a transient failure
+// or a rate limit, but not a spent quota.
+func retryable(err error) bool {
+	if errors.Is(err, hidden.ErrRateLimited) {
+		return !errors.Is(err, hidden.ErrQuotaExhausted)
+	}
+	return Transient(err)
 }
 
 // Sleep waits for d or until ctx (when non-nil) is done, returning the

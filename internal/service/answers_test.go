@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -354,5 +357,34 @@ func TestAnswerPublishOrdering(t *testing.T) {
 	// A re-run with the same id (Recover republish) still goes through.
 	if !e.publish(newer, "j000002") {
 		t.Fatal("same-id republish refused")
+	}
+}
+
+// TestAnswerOverflowingWeightsAre400: finite weights whose scores
+// overflow float64 answer 400 on topk and topk_batch, never a 500 from
+// failing to encode an Inf score.
+func TestAnswerOverflowingWeightsAre400(t *testing.T) {
+	m, _ := newAnswerManager(t, Config{}, 32, 60)
+	defer m.Close(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	st, err := m.Submit(JobSpec{Store: "shop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m, st.ID, 30*time.Second)
+	for path, body := range map[string]string{
+		"/v1/answer/topk":       `{"store":"shop","weights":[1e308,1e308,1e308],"k":1}`,
+		"/v1/answer/topk_batch": `{"store":"shop","queries":[{"weights":[1,1,1],"k":1},{"weights":[1e308,1e308,1e308],"k":1}]}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", path, resp.StatusCode, msg)
+		}
 	}
 }

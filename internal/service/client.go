@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"hiddensky/internal/jsonbuf"
 	"hiddensky/internal/obs"
 )
 
@@ -278,7 +279,7 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(JobStatus)) (JobS
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		data, err := json.Marshal(in)
+		data, err := jsonbuf.Marshal(in)
 		if err != nil {
 			return err
 		}
@@ -309,7 +310,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := jsonbuf.ReadJSON(resp.Body, out); err != nil {
 		return fmt.Errorf("service: decoding %s %s response: %w", method, path, err)
 	}
 	return nil

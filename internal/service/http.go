@@ -281,7 +281,7 @@ func (h *Handler) handleAnswers(w http.ResponseWriter, r *http.Request) {
 func answerEndpoint[Req, Resp any](fn func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := jsonbuf.ReadJSON(r.Body, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed request: " + err.Error()})
 			return
 		}

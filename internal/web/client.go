@@ -15,15 +15,18 @@ import (
 	"time"
 
 	"hiddensky/internal/hidden"
+	"hiddensky/internal/jsonbuf"
 	"hiddensky/internal/obs"
 	"hiddensky/internal/query"
 	"hiddensky/internal/retry"
 )
 
 // RateLimitError reports that the remote endpoint kept rate-limiting the
-// client until its retry policy gave up. It unwraps to
-// hidden.ErrRateLimited, so errors.Is(err, hiddensky.ErrRateLimited) holds
-// and the discovery algorithms treat it as their anytime budget stop.
+// client until its retry policy gave up, or said its query quota is
+// spent. It unwraps to hidden.ErrRateLimited (hidden.ErrQuotaExhausted
+// for a spent quota, which the retry policy does not retry), so
+// errors.Is(err, hiddensky.ErrRateLimited) holds and the discovery
+// algorithms treat it as their anytime budget stop.
 type RateLimitError struct {
 	// RetryAfter is the last answer's Retry-After, as the server sent it
 	// (zero when not advertised); the retry policy's RetryAfterCap
@@ -31,16 +34,26 @@ type RateLimitError struct {
 	RetryAfter time.Duration
 	// Attempts is how many round trips were tried before giving up.
 	Attempts int
+	// Exhausted reports the 429's envelope said "exhausted": true.
+	Exhausted bool
 }
 
 func (e *RateLimitError) Error() string {
-	if e.RetryAfter > 0 {
+	switch {
+	case e.Exhausted:
+		return fmt.Sprintf("web: remote query quota exhausted (%d attempts)", e.Attempts)
+	case e.RetryAfter > 0:
 		return fmt.Sprintf("web: remote answered 429 %d times (retry after %v)", e.Attempts, e.RetryAfter)
 	}
 	return fmt.Sprintf("web: remote answered 429 %d times", e.Attempts)
 }
 
-func (e *RateLimitError) Unwrap() error { return hidden.ErrRateLimited }
+func (e *RateLimitError) Unwrap() error {
+	if e.Exhausted {
+		return hidden.ErrQuotaExhausted
+	}
+	return hidden.ErrRateLimited
+}
 
 // RetryAfterHint implements retry.AfterHinter.
 func (e *RateLimitError) RetryAfterHint() time.Duration { return e.RetryAfter }
@@ -246,14 +259,14 @@ func (c *Client) reqCtx() context.Context {
 // attempt returned no data, so the eventual answer is the one a clean
 // upstream would have given.
 func (c *Client) Query(q query.Q) (hidden.Result, error) {
-	req := SearchRequest{}
-	for _, p := range q {
-		req.Preds = append(req.Preds, WirePredicate{Attr: p.Attr, Op: encodeOp(p.Op), Value: p.Value})
+	req := SearchRequest{Preds: make([]WirePredicate, len(q))}
+	for i, p := range q {
+		req.Preds[i] = WirePredicate{Attr: p.Attr, Op: encodeOp(p.Op), Value: p.Value}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return hidden.Result{}, err
-	}
+	// Not pooled: the transport may still be writing a request body
+	// after Do returns (an early response), so it must not be reused.
+	// A predicate takes at most 48 bytes unless its value is huge.
+	body, _ := req.AppendJSON(make([]byte, 0, 16+48*len(q))) // a search request always encodes
 	pol := c.retryPolicy()
 	// One span per counted upstream query: it opens before the first
 	// attempt so its latency covers every backoff, Ends as "web.query"
@@ -365,7 +378,14 @@ func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, erro
 		if m := c.metrics; m != nil && m.RateLimited != nil {
 			m.RateLimited.Inc()
 		}
-		return hidden.Result{}, &RateLimitError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
+		// A spent quota says so in its envelope; any other body (a
+		// proxy's, an injected fault's) is an ordinary rate limit.
+		var env errorResponse
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&env)
+		return hidden.Result{}, &RateLimitError{
+			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+			Exhausted:  env.Exhausted,
+		}
 	case resp.StatusCode == http.StatusBadRequest:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return hidden.Result{}, fmt.Errorf("%w: %s", hidden.ErrUnsupportedPredicate, strings.TrimSpace(string(msg)))
@@ -375,10 +395,15 @@ func (c *Client) search(body []byte, timeout time.Duration) (hidden.Result, erro
 		return hidden.Result{}, fmt.Errorf("web: search answered %s", resp.Status)
 	}
 	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		// A decode failure on a 200 means the body was cut mid-payload
-		// (or the connection dropped); the answer was never counted, so
-		// another attempt is safe.
+	buf, err := jsonbuf.ReadBody(resp.Body)
+	if err == nil {
+		err = sr.UnmarshalJSON(buf.Bytes())
+		jsonbuf.Release(buf)
+	}
+	if err != nil {
+		// A read or decode failure on a 200 means the body was cut
+		// mid-payload (or the connection dropped); the answer was never
+		// counted, so another attempt is safe.
 		return hidden.Result{}, c.transientf("web: decoding search response: %v", err)
 	}
 	c.queries.Add(1)

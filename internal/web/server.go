@@ -11,11 +11,13 @@
 //	POST /v1/search {preds:[...]} -> {tuples:[[...]], overflow, filters?}
 //
 // A predicate is {attr, op, value} with op in "<", "<=", "=", ">=", ">".
-// Unsupported predicates answer 400; an exhausted rate limit answers 429.
+// Unsupported predicates answer 400, and malformed bodies (trailing
+// bytes after the value included) 400. A spent query limit answers 429
+// with {"error", "exhausted": true} and no Retry-After: that budget
+// never refills.
 package web
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -66,6 +68,9 @@ type SearchResponse struct {
 // errorResponse is the JSON error envelope.
 type errorResponse struct {
 	Error string `json:"error"`
+	// Exhausted marks a 429 for a spent QueryLimit: the budget never
+	// refills, so clients should stop rather than retry.
+	Exhausted bool `json:"exhausted,omitempty"`
 }
 
 // Server serves one hidden database.
@@ -246,7 +251,12 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf, err := jsonbuf.ReadBody(r.Body)
+	if err == nil {
+		err = req.UnmarshalJSON(buf.Bytes())
+		jsonbuf.Release(buf)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed request: " + err.Error()})
 		return
 	}
@@ -261,8 +271,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, hidden.ErrRateLimited):
 		s.rateLimited.Inc()
 		s.logSearch(r, http.StatusTooManyRequests, 0, time.Since(t0))
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		// The database's limit is a QueryLimit that never refills: no
+		// Retry-After, and the envelope tells clients to stop.
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), Exhausted: errors.Is(err, hidden.ErrQuotaExhausted)})
 		return
 	case errors.Is(err, hidden.ErrUnsupportedPredicate), errors.Is(err, hidden.ErrBadQuery):
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

@@ -119,9 +119,10 @@ func TestUntracedClientSendsNoTraceHeader(t *testing.T) {
 	}
 }
 
-// TestTerminalRateLimitSpanRenamed: a double-429 records a
+// TestTerminalRateLimitSpanRenamed: a terminal 429 records a
 // "web.rate_limited" span, never a "web.query" one — the span count
-// must keep matching the counted (200-answered) queries exactly.
+// must keep matching the counted (200-answered) queries exactly. The
+// 429 is a spent query limit, which is not retried.
 func TestTerminalRateLimitSpanRenamed(t *testing.T) {
 	srv := NewServer(traceTestDB(t, 1), nil) // 1 query then rate-limited
 	ts := httptest.NewServer(srv)
@@ -151,7 +152,7 @@ func TestTerminalRateLimitSpanRenamed(t *testing.T) {
 			if n, _ := rec.AttrInt("status"); n != 429 {
 				t.Fatalf("rate-limited span status = %d", n)
 			}
-			if n, _ := rec.AttrInt("retries"); n != 1 {
+			if n, _ := rec.AttrInt("retries"); n != 0 {
 				t.Fatalf("rate-limited span retries = %d", n)
 			}
 		default:

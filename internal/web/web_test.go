@@ -310,8 +310,8 @@ func TestErrorsAreStructuredJSON(t *testing.T) {
 			resp.Body.Close()
 		}
 		resp := post(`{"preds":[]}`)
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("429 should advertise Retry-After")
+		if resp.Header.Get("Retry-After") != "" {
+			t.Error("a spent query limit never refills; its 429 must not advertise Retry-After")
 		}
 		checkEnvelope(t, resp, http.StatusTooManyRequests)
 	})
