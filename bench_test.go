@@ -151,8 +151,8 @@ func BenchmarkCrawlBaseline(b *testing.B) {
 // Sanity check so `go test` (not just -bench) exercises the figure list.
 func TestFigureRegistry(t *testing.T) {
 	all := bench.All()
-	if len(all) != 16 { // 14 paper figures + the engine and answer figures
-		t.Fatalf("expected 16 figures, have %d", len(all))
+	if len(all) != 14 { // the paper's 14 figures
+		t.Fatalf("expected 14 figures, have %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, r := range all {

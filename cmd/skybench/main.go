@@ -24,8 +24,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	csvDir := flag.String("csv", "", "also write per-figure CSVs into this directory")
 	list := flag.Bool("list", false, "list available figures and exit")
-	parallel := flag.Int("parallel", 0, "worker cap for the engine figure's parallelism sweep (0 = 8)")
-	cacheSize := flag.Int("cache", 0, "entry bound of the engine figure's query cache (0 = default)")
 	flag.Parse()
 
 	if *list {
@@ -35,7 +33,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{Quick: *quick, Seed: *seed, Parallelism: *parallel, CacheEntries: *cacheSize}
+	cfg := bench.Config{Quick: *quick, Seed: *seed}
 	runners := bench.All()
 	if args := flag.Args(); len(args) > 0 {
 		runners = runners[:0]

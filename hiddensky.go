@@ -185,12 +185,19 @@ var (
 // retained for paper fidelity. Each is one point of Request space, run
 // through the planner; new code that wants features to compose
 // (filter × band × explicit algorithm × resume) should call Run directly.
-var (
-	// Discover dispatches to the right algorithm for the interface.
-	Discover = core.Discover
-	// DiscoverWhere discovers the skyline of a filtered subset (§2.1).
-	DiscoverWhere = core.DiscoverWhere
-)
+
+// Discover dispatches to the right algorithm for the interface's mixture
+// of capabilities (MQ-DB-SKY's dispatch, §6).
+func Discover(db HiddenDB, opt Options) (DiscoveryResult, error) {
+	return Run(db, Request{}, opt)
+}
+
+// DiscoverWhere discovers the skyline of the subset of the database
+// matching a conjunctive filter (§2.1): every query carries the filter's
+// predicates, each of which its attribute's interface must support.
+func DiscoverWhere(db HiddenDB, filter Q, opt Options) (DiscoveryResult, error) {
+	return Run(db, Request{Filter: filter}, opt)
+}
 
 // SQDBSky discovers the skyline via one-ended ranges (Algorithm 1, §3).
 func SQDBSky(db HiddenDB, opt Options) (DiscoveryResult, error) {

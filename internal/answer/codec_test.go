@@ -130,3 +130,38 @@ func TestLoadBinaryRejectsCorruption(t *testing.T) {
 func rechecksum(b []byte) {
 	binary.LittleEndian.PutUint32(b[12:16], crc32.Checksum(b[binaryHeaderLen:], castagnoli))
 }
+
+// FuzzLoadBinary feeds LoadBinary arbitrary blocks. The harness
+// recomputes the header CRC first, so mutations get past the checksum
+// to the structural checks. LoadBinary must never panic; a block it
+// accepts must re-encode to the identical bytes and answer TopK —
+// unfiltered and filtered — without panicking. Seeds (small stores'
+// blocks) are under testdata/fuzz.
+func FuzzLoadBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= binaryHeaderLen {
+			data = append([]byte(nil), data...)
+			rechecksum(data)
+		}
+		s, err := LoadBinary(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadBinary) {
+				t.Fatalf("error %v does not match ErrBadBinary", err)
+			}
+			return
+		}
+		if again := s.AppendBinary(nil); !bytes.Equal(again, data) {
+			t.Fatal("accepted block re-encodes to different bytes")
+		}
+		w := make([]float64, s.NumAttrs())
+		for a := range w {
+			w[a] = float64(a + 1)
+		}
+		for _, q := range []TopKQuery{
+			{Weights: w, K: 3},
+			{Weights: w, K: 2, Normalized: true, Filter: []Range{{Attr: 0, Lo: -5, Hi: 50}}},
+		} {
+			s.TopK(q)
+		}
+	})
+}

@@ -4,7 +4,10 @@
 // generation, hidden-interface construction, discovery and baseline runs —
 // and returns the same series the paper plots, ready for textual rendering
 // or CSV export. The testing.B benchmarks in the repository root and the
-// cmd/skybench tool are thin wrappers over this package.
+// cmd/skybench tool are thin wrappers over this package. The package's
+// golden tests own the paper's cost metric: they pin the exact query
+// count of every figure at quick scale and of fixed discoveries
+// (testdata/*.golden).
 package bench
 
 import (
@@ -26,10 +29,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every generator; runs are deterministic given it.
 	Seed int64
-	// Parallelism caps the worker sweep of the engine figure (0 = 8).
-	Parallelism int
-	// CacheEntries bounds the engine figure's query cache (0 = default).
-	CacheEntries int
 }
 
 // scale returns quick when cfg.Quick, else full.
@@ -202,13 +201,10 @@ func All() []Runner {
 		{"fig22", "Online: Blue Nile diamonds (MQ vs BASELINE)", Fig22},
 		{"fig23", "Online: Google Flights", Fig23},
 		{"fig24", "Online: Yahoo! Autos (MQ vs BASELINE)", Fig24},
-		{"engine", "Parallel engine speedup and query-cache dedup (not in the paper)", FigEngine},
-		{"answer", "Answer store: band-serving vs full-scan top-k (not in the paper)", FigAnswer},
 	}
 }
 
-// ByID returns the runner for a figure id ("fig13", "13", "Fig13",
-// "engine").
+// ByID returns the runner for a figure id ("fig13", "13", "Fig13").
 func ByID(id string) (Runner, bool) {
 	norm := strings.ToLower(strings.TrimSpace(id))
 	for _, r := range All() {

@@ -17,7 +17,7 @@ const baselineCap = 10000
 // onlineComparison runs MQ-DB-SKY (traced) and the capped BASELINE crawl
 // over one web database and builds both discovery curves.
 func onlineComparison(fig *Figure, d datagen.Dataset, k int, rank hidden.Ranking) error {
-	res, err := core.Discover(d.DB(k, rank), core.Options{Trace: true})
+	res, err := core.Run(d.DB(k, rank), core.Request{}, core.Options{Trace: true})
 	if err != nil {
 		return err
 	}
@@ -95,7 +95,7 @@ func Fig23(cfg Config) (Figure, error) {
 	for r := 0; r < routes; r++ {
 		d := datagen.GoogleFlightsRoute(cfg.Seed + int64(r))
 		// One QPX request returns a page of ~20 itineraries.
-		res, err := core.Discover(d.DB(20, hidden.AttrRank{Attr: datagen.GFPrice}), core.Options{Trace: true})
+		res, err := core.Run(d.DB(20, hidden.AttrRank{Attr: datagen.GFPrice}), core.Request{}, core.Options{Trace: true})
 		if err != nil {
 			return fig, err
 		}

@@ -263,9 +263,6 @@ func sqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 				q = append(q, query.Predicate{Attr: a, Op: query.LT, Value: n.ub[a]})
 			}
 		}
-		if c.opt.SkipProvablyEmpty && c.provablyEmpty(q) {
-			continue
-		}
 		res, err := c.issue(q)
 		if err != nil {
 			return bc.finish(kBand, c.queries, false), err

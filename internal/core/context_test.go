@@ -35,7 +35,7 @@ func TestDiscoverContextCancellation(t *testing.T) {
 						}
 					},
 				}
-				res, err := Discover(db, opt)
+				res, err := Run(db, Request{}, opt)
 				cancel()
 				where := fmt.Sprintf("seed=%d stopAt=%d parallel=%d", seed, stopAt, par)
 				if !errors.Is(err, ErrBudget) || !errors.Is(err, context.Canceled) {

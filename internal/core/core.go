@@ -251,8 +251,13 @@ func (c *ctx) newPool() *engine.Pool {
 // budget is enforced by reservation: a slot is taken before the query and
 // refunded if the query fails, so even with many workers in flight at most
 // MaxQueries backend queries are ever issued and every success is counted
-// exactly once.
+// exactly once. Under SkipProvablyEmpty a query whose canonical box is
+// empty given the advertised domains is answered here, empty and
+// uncounted, without reaching the database.
 func (c *ctx) issue(q query.Q) (hidden.Result, error) {
+	if c.opt.SkipProvablyEmpty && q.Canonicalize(c.domains).Empty() {
+		return hidden.Result{}, nil
+	}
 	if c.opt.Ctx != nil {
 		if cerr := c.opt.Ctx.Err(); cerr != nil {
 			return hidden.Result{}, fmt.Errorf("%w: %w", ErrBudget, cerr)
@@ -300,12 +305,6 @@ func (c *ctx) overflowed(res hidden.Result) bool {
 		return res.Overflow
 	}
 	return len(res.Tuples) >= c.k
-}
-
-// provablyEmpty reports whether q cannot match any tuple given the
-// advertised domains.
-func (c *ctx) provablyEmpty(q query.Q) bool {
-	return q.Canonicalize(c.domains).Empty()
 }
 
 // merge folds tuple t into the candidate skyline, tracing additions. A
@@ -522,11 +521,4 @@ func attrsByCap(db Interface) (sq, rq, pq []int) {
 		}
 	}
 	return sq, rq, pq
-}
-
-// Discover runs the most appropriate algorithm for the database's
-// interface mixture (MQ-DB-SKY's dispatch): SQ-, RQ-, PQ- or MQ-DB-SKY.
-// It is the zero-Request point of the planner: Run(db, Request{}, opt).
-func Discover(db Interface, opt Options) (Result, error) {
-	return mqDBSky(db, opt)
 }

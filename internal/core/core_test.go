@@ -229,7 +229,8 @@ func TestDiscoverDispatch(t *testing.T) {
 	} {
 		data := randData(rng, 80, len(caps), 8)
 		db := mkDB(t, data, caps, 3, hidden.SumRank{})
-		checkSkyline(t, db, Discover, fmt.Sprintf("Discover caps=%v", caps))
+		auto := func(db Interface, opt Options) (Result, error) { return Run(db, Request{}, opt) }
+		checkSkyline(t, db, auto, fmt.Sprintf("auto caps=%v", caps))
 	}
 }
 

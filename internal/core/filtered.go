@@ -5,26 +5,13 @@ import (
 	"hiddensky/internal/query"
 )
 
-// DiscoverWhere discovers the skyline of the subset of the database
-// matching the given conjunctive filter — §2.1's observation that
-// constrained skylines need no new machinery: "simply append the filtering
-// conditions as conjunctive predicates to all queries issued". The filter
-// must only use predicates the interface supports on the respective
-// attributes; the algorithm choice then follows the interface mixture as
-// in Discover. It is the Filter-only point of the planner's Request
-// space, which keeps the validation rules in one place (Plan).
-//
-// Example: the skyline of nonstop flights only —
-//
-//	DiscoverWhere(db, query.Q{{Attr: stops, Op: query.EQ, Value: 0}}, opt)
-func DiscoverWhere(db Interface, filter query.Q, opt Options) (Result, error) {
-	return Run(db, Request{Filter: filter}, opt)
-}
-
-// filteredView presents the subset of a hidden database matching a
-// conjunctive filter as a database of its own: every query silently
-// carries the filter, and the advertised domains shrink to the filter's
-// box. All discovery algorithms work through it unchanged.
+// filteredView backs Request.Filter — §2.1's observation that constrained
+// skylines need no new machinery: "simply append the filtering conditions
+// as conjunctive predicates to all queries issued". It presents the subset
+// of a hidden database matching a conjunctive filter as a database of its
+// own: every query silently carries the filter, and the advertised domains
+// shrink to the filter's box. All discovery algorithms work through it
+// unchanged.
 type filteredView struct {
 	db     Interface
 	filter query.Q

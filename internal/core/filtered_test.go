@@ -25,7 +25,7 @@ func TestDiscoverWhereMatchesFilteredGroundTruth(t *testing.T) {
 			{Attr: attr, Op: query.GE, Value: lo},
 			{Attr: attr, Op: query.LE, Value: hi},
 		}
-		res, err := DiscoverWhere(db, filter, Options{})
+		res, err := Run(db, Request{Filter: filter}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestDiscoverWhereMatchesFilteredGroundTruth(t *testing.T) {
 func TestDiscoverWhereEmptySubset(t *testing.T) {
 	data := [][]int{{1, 1}, {2, 2}}
 	db := mkDB(t, data, capsAll(2, hidden.RQ), 1, hidden.SumRank{})
-	res, err := DiscoverWhere(db, query.Q{{Attr: 0, Op: query.GE, Value: 100}}, Options{})
+	res, err := Run(db, Request{Filter: query.Q{{Attr: 0, Op: query.GE, Value: 100}}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,25 +57,27 @@ func TestDiscoverWhereEmptySubset(t *testing.T) {
 func TestDiscoverWhereRejectsUnsupportedFilter(t *testing.T) {
 	data := [][]int{{1, 1}}
 	db := mkDB(t, data, []hidden.Capability{hidden.SQ, hidden.PQ}, 1, hidden.SumRank{})
-	if _, err := DiscoverWhere(db, query.Q{{Attr: 0, Op: query.GE, Value: 0}}, Options{}); err == nil {
+	if _, err := Run(db, Request{Filter: query.Q{{Attr: 0, Op: query.GE, Value: 0}}}, Options{}); err == nil {
 		t.Fatal(">= filter on an SQ attribute accepted")
 	}
-	if _, err := DiscoverWhere(db, query.Q{{Attr: 1, Op: query.LT, Value: 5}}, Options{}); err == nil {
+	if _, err := Run(db, Request{Filter: query.Q{{Attr: 1, Op: query.LT, Value: 5}}}, Options{}); err == nil {
 		t.Fatal("< filter on a PQ attribute accepted")
 	}
-	if _, err := DiscoverWhere(db, query.Q{{Attr: 7, Op: query.EQ, Value: 0}}, Options{}); err == nil {
+	if _, err := Run(db, Request{Filter: query.Q{{Attr: 7, Op: query.EQ, Value: 0}}}, Options{}); err == nil {
 		t.Fatal("out-of-range filter attribute accepted")
 	}
 }
 
+// TestDiscoverWhereNilFilterIsDiscover: an empty filter costs exactly
+// what the paper's own dispatch (MQ-DB-SKY's) costs.
 func TestDiscoverWhereNilFilterIsDiscover(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	data := randData(rng, 120, 2, 8)
-	a, err := DiscoverWhere(mkDB(t, data, capsAll(2, hidden.RQ), 2, hidden.SumRank{}), nil, Options{})
+	a, err := Run(mkDB(t, data, capsAll(2, hidden.RQ), 2, hidden.SumRank{}), Request{Filter: query.Q{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Discover(mkDB(t, data, capsAll(2, hidden.RQ), 2, hidden.SumRank{}), Options{})
+	b, err := mqDBSky(mkDB(t, data, capsAll(2, hidden.RQ), 2, hidden.SumRank{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestDiscoverWherePointInterface(t *testing.T) {
 	data := randData(rng, 250, 3, 5)
 	db := mkDB(t, data, capsAll(3, hidden.PQ), 2, hidden.SumRank{})
 	filter := query.Q{{Attr: 2, Op: query.EQ, Value: 3}}
-	res, err := DiscoverWhere(db, filter, Options{})
+	res, err := Run(db, Request{Filter: filter}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestDiscoverWhereCostNoWorseThanFull(t *testing.T) {
 	data := randData(rng, 400, 3, 20)
 	db := mkDB(t, data, capsAll(3, hidden.RQ), 5, hidden.SumRank{})
 	filter := query.Q{{Attr: 0, Op: query.LE, Value: 3}}
-	res, err := DiscoverWhere(db, filter, Options{})
+	res, err := Run(db, Request{Filter: filter}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,12 +267,12 @@ func TestDiscoverThreadsParallelismAndCache(t *testing.T) {
 		capsAll(3, hidden.PQ),
 		{hidden.SQ, hidden.RQ, hidden.PQ},
 	} {
-		seq, err := Discover(mkDB(t, data, caps, 5, hidden.LexRank{}), Options{})
+		seq, err := Run(mkDB(t, data, caps, 5, hidden.LexRank{}), Request{}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache := qcache.New(qcache.Config{})
-		par, err := Discover(mkDB(t, data, caps, 5, hidden.LexRank{}), Options{Parallelism: 6, Cache: cache})
+		par, err := Run(mkDB(t, data, caps, 5, hidden.LexRank{}), Request{}, Options{Parallelism: 6, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

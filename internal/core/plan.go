@@ -22,8 +22,9 @@ import (
 // request field.
 //
 // The algorithm functions (sqDBSky ... sqBandSky) are unexported: each
-// is one point in Request space, reached only through Run. DiscoverWhere
-// and Session.Resume remain exported for paper fidelity.
+// is one point in Request space, reached only through Run, which is the
+// package's one discovery entry point (Session.Resume stays exported for
+// callers that drive a checkpoint themselves).
 
 // Algo names a discovery algorithm family. The zero value ("") means
 // AlgoAuto: dispatch on the interface's capability mixture.
@@ -61,8 +62,8 @@ func ParseAlgo(s string) (Algo, error) {
 }
 
 // Request declaratively describes one discovery run. The zero value
-// asks for the full skyline under automatic algorithm dispatch — what
-// Discover has always done. Execution tuning (budget, parallelism,
+// asks for the full skyline under automatic algorithm dispatch
+// (MQ-DB-SKY's dispatch, §6). Execution tuning (budget, parallelism,
 // cache, context, progress) stays in Options; the Request is only
 // *what* to discover, so one Request can be planned against many
 // stores.

@@ -78,15 +78,34 @@ func ReadSession(r io.Reader) (*Session, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decoding session: %w", err)
 	}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// check rejects a session no run could have checkpointed: every pending
+// node and skyline tuple must have Attrs entries, and the query count
+// cannot be negative. Resume calls it, so a checkpoint decoded by any
+// means fails with an error instead of a panic mid-walk.
+func (s *Session) check() error {
 	if s.Attrs < 1 {
-		return nil, fmt.Errorf("core: implausible session (attrs=%d)", s.Attrs)
+		return fmt.Errorf("core: implausible session (attrs=%d)", s.Attrs)
+	}
+	if s.Queries < 0 {
+		return fmt.Errorf("core: implausible session (queries=%d)", s.Queries)
 	}
 	for _, ub := range s.Pending {
 		if len(ub) != s.Attrs {
-			return nil, fmt.Errorf("core: session node has %d bounds, want %d", len(ub), s.Attrs)
+			return fmt.Errorf("core: session node has %d bounds, want %d", len(ub), s.Attrs)
 		}
 	}
-	return &s, nil
+	for _, t := range s.Skyline {
+		if len(t) != s.Attrs {
+			return fmt.Errorf("core: session skyline tuple has %d values, want %d", len(t), s.Attrs)
+		}
+	}
+	return nil
 }
 
 // Resume continues an SQ-DB-SKY run from the checkpoint, spending at most
@@ -95,6 +114,9 @@ func ReadSession(r io.Reader) (*Session, error) {
 // s.Done()) tells whether the skyline is final. The session is updated in
 // place and stays serializable between calls.
 func (s *Session) Resume(db Interface, opt Options) (Result, error) {
+	if err := s.check(); err != nil {
+		return Result{}, err
+	}
 	if db.NumAttrs() != s.Attrs {
 		return Result{}, fmt.Errorf("core: session has %d attributes, database %d", s.Attrs, db.NumAttrs())
 	}
@@ -116,10 +138,6 @@ func (s *Session) Resume(db Interface, opt Options) (Result, error) {
 	for len(s.Pending) > 0 {
 		ub := s.Pending[0]
 		q := sessionQuery(c, ub)
-		if opt.SkipProvablyEmpty && c.provablyEmpty(q) {
-			s.Pending = s.Pending[1:]
-			continue
-		}
 		res, err := c.issue(q)
 		if errors.Is(err, ErrBudget) {
 			budgetErr = err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -124,6 +125,37 @@ func TestSessionValidation(t *testing.T) {
 		if _, err := ReadSession(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("session %q accepted", bad)
 		}
+	}
+}
+
+// TestSessionCheckRejectsMalformed: a checkpoint no run could have
+// written is refused by ReadSession and, decoded by other means, by
+// Resume — with an error and no query, never a panic mid-walk.
+func TestSessionCheckRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct{ name, json string }{
+		{"short pending node", `{"attrs":2,"pending":[[6]],"queries":3}`},
+		{"long pending node", `{"attrs":2,"pending":[[6,6,6]]}`},
+		{"long skyline tuple", `{"attrs":2,"pending":[[6,6]],"skyline":[[0,0,0]]}`},
+		{"short skyline tuple", `{"attrs":2,"pending":[],"skyline":[[0]]}`},
+		{"negative queries", `{"attrs":2,"pending":[[6,6]],"queries":-1}`},
+		{"no attributes", `{"attrs":0}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadSession(bytes.NewBufferString(tc.json)); err == nil {
+				t.Error("ReadSession accepted it")
+			}
+			var s Session
+			if err := json.Unmarshal([]byte(tc.json), &s); err != nil {
+				t.Fatal(err)
+			}
+			db := mkDB(t, [][]int{{1, 2}, {2, 1}}, capsAll(2, hidden.SQ), 1, hidden.SumRank{})
+			if _, err := s.Resume(db, Options{}); err == nil {
+				t.Error("Resume accepted it")
+			}
+			if n := db.QueriesIssued(); n != 0 {
+				t.Errorf("Resume issued %d queries", n)
+			}
+		})
 	}
 }
 
@@ -272,4 +304,37 @@ func TestSessionCheckpointHook(t *testing.T) {
 	if last.Queries != oneShot.Queries {
 		t.Fatalf("crash-restored cost %d, one-shot %d", last.Queries, oneShot.Queries)
 	}
+}
+
+// FuzzReadSession feeds ReadSession arbitrary checkpoints. It must never
+// panic; an accepted session must survive Save and ReadSession unchanged,
+// and resuming it on a small database (within a query budget) must not
+// panic either. Seeds are under testdata/fuzz.
+func FuzzReadSession(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSession(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadSession(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved session does not read back: %v\n%s", err, first.Bytes())
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the session:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+		if s.Attrs > 4 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		db := mkDB(t, randData(rng, 40, s.Attrs, 8), capsAll(s.Attrs, hidden.SQ), 3, hidden.SumRank{})
+		s.Resume(db, Options{MaxQueries: 64})
+	})
 }

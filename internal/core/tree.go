@@ -160,9 +160,6 @@ func (w *treeWalker) runQueue(queue []node) error {
 		n := queue[0]
 		queue = queue[1:]
 		q := w.buildQ(n)
-		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(q) {
-			continue
-		}
 		res, err := w.c.issue(q)
 		if err != nil {
 			return err
@@ -180,9 +177,6 @@ func (w *treeWalker) walkRQ(n node) error {
 	var branch []int
 	if !w.anySeenMatches(n) {
 		q := w.buildQ(n)
-		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(q) {
-			return nil
-		}
 		res, err := w.c.issue(q)
 		if err != nil {
 			return err
@@ -195,9 +189,6 @@ func (w *treeWalker) walkRQ(n node) error {
 		branch = res.Tuples[0]
 	} else {
 		rq := w.buildR(n)
-		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(rq) {
-			return nil
-		}
 		res, err := w.c.issue(rq)
 		if err != nil {
 			return err
@@ -284,9 +275,6 @@ func (w *treeWalker) task(p *engine.Pool, n node) error {
 	var branch []int
 	if !w.rq || !w.anySeenMatches(n) {
 		q := w.buildQ(n)
-		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(q) {
-			return nil
-		}
 		res, err := w.c.issue(q)
 		if err != nil {
 			return err
@@ -302,9 +290,6 @@ func (w *treeWalker) task(p *engine.Pool, n node) error {
 		branch = res.Tuples[0]
 	} else {
 		rq := w.buildR(n)
-		if w.c.opt.SkipProvablyEmpty && w.c.provablyEmpty(rq) {
-			return nil
-		}
 		res, err := w.c.issue(rq)
 		if err != nil {
 			return err

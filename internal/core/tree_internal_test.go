@@ -206,13 +206,17 @@ func TestCtxMergeDedup(t *testing.T) {
 	}
 }
 
+// TestProvablyEmpty: under SkipProvablyEmpty, issue answers a box that
+// is empty over the advertised domains itself, empty and uncounted.
 func TestProvablyEmpty(t *testing.T) {
 	db := fig2DB(t, capsAll(3, hidden.SQ))
-	c := newCtx(db, Options{})
-	if !c.provablyEmpty(query.Q{{Attr: 0, Op: query.LT, Value: 1}}) {
-		t.Error("A0 < 1 is empty over domain [1,5]")
+	c := newCtx(db, Options{SkipProvablyEmpty: true})
+	res, err := c.issue(query.Q{{Attr: 0, Op: query.LT, Value: 1}})
+	if err != nil || len(res.Tuples) != 0 || c.queries != 0 || db.QueriesIssued() != 0 {
+		t.Errorf("A0 < 1 is empty over domain [1,5]: %v, %d tuples, %d counted, %d issued",
+			err, len(res.Tuples), c.queries, db.QueriesIssued())
 	}
-	if c.provablyEmpty(query.Q{{Attr: 0, Op: query.LT, Value: 2}}) {
-		t.Error("A0 < 2 is satisfiable")
+	if _, err := c.issue(query.Q{{Attr: 0, Op: query.LT, Value: 2}}); err != nil || c.queries != 1 || db.QueriesIssued() != 1 {
+		t.Errorf("A0 < 2 is satisfiable: %v, %d counted, %d issued", err, c.queries, db.QueriesIssued())
 	}
 }

@@ -63,50 +63,14 @@ type StoreStats struct {
 	Complete bool
 }
 
-// Discover runs skyline discovery against every store (dispatching on each
-// store's interface mixture) and merges the results into the global
-// frontier. Stores must agree on the ranking-attribute schema: same
-// attribute order and preferential encoding. A per-store budget error is
-// tolerated and surfaced through Result.Complete.
+// Discover runs skyline discovery against every store, one store at a
+// time (dispatching on each store's interface mixture), and merges the
+// results into the global frontier. Stores must agree on the
+// ranking-attribute schema: same attribute order and preferential
+// encoding. A per-store budget error is tolerated and surfaced through
+// Result.Complete. It is DiscoverFleet with one store in flight.
 func Discover(stores []Store, opt core.Options) (Result, error) {
-	if len(stores) == 0 {
-		return Result{}, fmt.Errorf("federate: no stores")
-	}
-	m := stores[0].DB.NumAttrs()
-	for _, s := range stores[1:] {
-		if s.DB.NumAttrs() != m {
-			return Result{}, fmt.Errorf("federate: store %q has %d attributes, want %d (schemas must align)",
-				s.Name, s.DB.NumAttrs(), m)
-		}
-	}
-	out := Result{Complete: true}
-	var all []Offer
-	for _, s := range stores {
-		// Each store is planned individually: the same request may
-		// resolve to different algorithms per interface mixture, and an
-		// unsatisfiable store surfaces a typed error before any query.
-		plan, err := core.Plan(s.DB, core.Request{})
-		if err != nil {
-			return out, fmt.Errorf("federate: store %q: %w", s.Name, err)
-		}
-		res, err := plan.Run(opt)
-		if err != nil && !errors.Is(err, core.ErrBudget) {
-			return out, fmt.Errorf("federate: store %q: %w", s.Name, err)
-		}
-		out.Queries += res.Queries
-		out.Complete = out.Complete && res.Complete
-		out.PerStore = append(out.PerStore, StoreStats{
-			Store:    s.Name,
-			Skyline:  len(res.Skyline),
-			Queries:  res.Queries,
-			Complete: res.Complete,
-		})
-		for _, t := range res.Skyline {
-			all = append(all, Offer{Store: s.Name, Tuple: t})
-		}
-	}
-	out.Frontier = mergeOffers(all)
-	return out, nil
+	return DiscoverFleet(stores, opt, FleetOptions{MaxStores: 1})
 }
 
 // mergeOffers keeps every offer not strictly dominated by another; equal

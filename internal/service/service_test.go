@@ -3,7 +3,10 @@ package service
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,6 +232,41 @@ func TestKillRestartResumesExactly(t *testing.T) {
 	}
 	if err := m2.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverMalformedSession: a snapshot whose session no run could have
+// checkpointed (a pending node with 1 bound on a 3-attribute store) fails
+// its recovered job instead of panicking the daemon, and the manager
+// keeps serving.
+func TestRecoverMalformedSession(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"status":{"id":"j000001","spec":{"store":"s","resumable":true},"state":"running"},` +
+		`"session":{"attrs":3,"pending":[[6]],"queries":3}}`
+	if err := os.WriteFile(filepath.Join(dir, "j000001.json"), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{MaxConcurrent: 1, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	if err := m.AddStore("s", testDataset(3, 200).DB(3, hidden.SumRank{})); err != nil {
+		t.Fatal(err)
+	}
+	if resumed, err := m.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("Recover: %d jobs, %v", resumed, err)
+	}
+	bad := waitTerminal(t, m, "j000001", 30*time.Second)
+	if bad.State != StateFailed || !strings.Contains(bad.Error, "bounds") {
+		t.Fatalf("malformed session: state=%s error=%q, want failed on its node bounds", bad.State, bad.Error)
+	}
+	st, err := m.Submit(JobSpec{Store: "s", Resumable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := waitTerminal(t, m, st.ID, 30*time.Second); next.State != StateDone || !next.Complete {
+		t.Fatalf("next job: state=%s complete=%v error=%q", next.State, next.Complete, next.Error)
 	}
 }
 

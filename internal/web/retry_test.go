@@ -172,7 +172,7 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Discover(c, core.Options{Parallelism: 6})
+	res, err := core.Run(c, core.Request{}, core.Options{Parallelism: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 	if c.QueriesIssued() != res.Queries {
 		t.Fatalf("client counted %d queries, discovery reported %d", c.QueriesIssued(), res.Queries)
 	}
-	seq, err := core.Discover(c, core.Options{})
+	seq, err := core.Run(c, core.Request{}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func TestDiscoveryOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Discover(client, core.Options{})
+		res, err := core.Run(client, core.Request{}, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -215,7 +215,7 @@ func TestRemoteRateLimitSurfacesAsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Discover(client, core.Options{})
+	res, err := core.Run(client, core.Request{}, core.Options{})
 	if !errors.Is(err, core.ErrBudget) {
 		t.Fatalf("want ErrBudget from remote 429, got %v", err)
 	}
