@@ -27,30 +27,30 @@ type BandResult struct {
 	Complete bool
 }
 
-// bandCollector accumulates every discovered tuple (deduplicated) during a
-// band run; band membership is decided at the end by counting dominators
-// inside the discovered set.
+// bandCollector accumulates every discovered tuple (deduplicated by
+// value) during a band run; band membership is decided at the end by
+// counting dominators inside the discovered set.
 type bandCollector struct {
 	tuples [][]int
+	seen   map[string]bool
 }
 
 func (bc *bandCollector) add(ts [][]int) {
+	if bc.seen == nil {
+		bc.seen = map[string]bool{}
+	}
 	for _, t := range ts {
-		dup := false
-		for _, u := range bc.tuples {
-			if skyline.Equal(u, t) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if key := tupleKey(t); !bc.seen[key] {
+			bc.seen[key] = true
 			bc.tuples = append(bc.tuples, append([]int(nil), t...))
 		}
 	}
 }
 
+// finish keeps the tuples with fewer than kBand dominators. The counts are
+// capped at kBand, which leaves every reported count exact.
 func (bc *bandCollector) finish(kBand, queries int, complete bool) BandResult {
-	counts := skyline.DominationCount(bc.tuples)
+	counts := skyline.SkybandCounts(bc.tuples, kBand)
 	res := BandResult{Queries: queries, Complete: complete}
 	for i, t := range bc.tuples {
 		if counts[i] < kBand {

@@ -100,6 +100,9 @@ func mqDBSky(db Interface, opt Options) (Result, error) {
 // with the probe's answer to avoid re-issuing the cell's root query.
 func mqPointPhase(c *ctx, pruneP query.Q, pqA, rangeAttrs []int, me []bool, anyRQ bool, phase1 [][]int) error {
 	prefix := make(query.Q, 0, len(pqA))
+	// Each probe is built into one reused buffer: c.issue does not retain
+	// its query, and a probe that seeds a cell walker is cloned there.
+	probe := make(query.Q, 0, len(pruneP)+len(pqA))
 	var rec func(d int) error
 	rec = func(d int) error {
 		dom := c.domains[pqA[d]]
@@ -113,7 +116,7 @@ func mqPointPhase(c *ctx, pruneP query.Q, pqA, rangeAttrs []int, me []bool, anyR
 			if d == len(pqA)-1 && mqSkippableCombo(pfx, pqA, phase1) {
 				continue
 			}
-			probe := append(pruneP.Clone(), pfx...)
+			probe = append(append(probe[:0], pruneP...), pfx...)
 			res, err := c.issue(probe)
 			if err != nil {
 				return err
@@ -137,7 +140,7 @@ func mqPointPhase(c *ctx, pruneP query.Q, pqA, rangeAttrs []int, me []bool, anyR
 			// reusing the probe answer as the root node's result. Cells are
 			// independent, so the parallel run lets their trees resolve on
 			// the pool while probing continues.
-			w := newTreeWalker(c, probe, rangeAttrs, me, anyRQ)
+			w := newTreeWalker(c, probe.Clone(), rangeAttrs, me, anyRQ)
 			if c.pool != nil {
 				w.runSeededOn(c.pool, res)
 				continue

@@ -124,35 +124,72 @@ type Config struct {
 	Domains []query.Interval
 }
 
-// rankState bundles the two views of one ranking — pos[i] is tuple i's
-// position (smaller = ranked higher), byRank lists tuple indices
-// best-ranked first. They must always swap together, so evaluate reads
-// them through a single atomic pointer: Rerank publishes a complete
-// replacement state and in-flight queries keep the one they loaded.
+// rankState is the database under one ranking, stored for the top-k
+// access pattern. Row r of rows is the r-th best-ranked tuple, so a row
+// id is its rank: the first k+1 matches of any rank-ordered scan are the
+// answer, with no sort. Each column's postings list the row ids by
+// (value, rank), so one attribute's value range is one contiguous run of
+// postings and a single-value run is already in rank order. A state is
+// immutable once published: Rerank builds a complete replacement and
+// swaps it in atomically, and in-flight queries keep the one they loaded.
 type rankState struct {
-	pos    []int
-	byRank []int32
+	m    int
+	rows []int   // n*m values, row-major in rank order
+	id   []int32 // id[r] is row r's index in Config.Data
+	cols []column
+}
+
+// column indexes one attribute of a rankState.
+type column struct {
+	lo, hi int     // observed value range
+	post   []int32 // row ids sorted by (value, rank)
+	// off[v-lo] is the first posting with value >= v (off[hi-lo+1] = n),
+	// so a value range's postings are found with two loads. It exists
+	// only when hi-lo < n, which keeps it no larger than post; wider
+	// ranges binary-search post.
+	off []int32
+}
+
+func (rs *rankState) n() int { return len(rs.id) }
+
+func (rs *rankState) row(r int32) []int {
+	i := int(r) * rs.m
+	return rs.rows[i : i+rs.m : i+rs.m]
+}
+
+// span returns the postings run [i, j) of column a's values in [lo, hi],
+// which must lie inside the column's observed range.
+func (rs *rankState) span(a, lo, hi int) (int, int) {
+	c := &rs.cols[a]
+	if c.off != nil {
+		return int(c.off[lo-c.lo]), int(c.off[hi-c.lo+1])
+	}
+	val := func(p int) int { return rs.rows[int(c.post[p])*rs.m+a] }
+	i := sort.Search(len(c.post), func(p int) bool { return val(p) >= lo })
+	j := i + sort.Search(len(c.post)-i, func(p int) bool { return val(i+p) > hi })
+	return i, j
+}
+
+// views returns row views in Config.Data order, aliasing the state.
+func (rs *rankState) views() [][]int {
+	out := make([][]int, rs.n())
+	for r, i := range rs.id {
+		out[i] = rs.row(int32(r))
+	}
+	return out
 }
 
 // DB is the hidden database simulator.
 type DB struct {
-	data    [][]int
 	filters [][]string
 	caps    []Capability
 	k       int
-	domains []query.Interval
+	domains []query.Interval // advertised
 
 	// ranking is the current rankState; queries load it once and never
-	// see a torn mix of old positions with a new by-rank order, which is
-	// what lets Rerank drift the proprietary ranking mid-crawl without a
-	// lock on the query path.
+	// see a torn mix of two rankings, which is what lets Rerank drift the
+	// proprietary ranking mid-crawl without a lock on the query path.
 	ranking atomic.Pointer[rankState]
-
-	// Query-evaluation indexes (behavioural no-ops; they only speed up
-	// the simulator): colIdx[a] lists tuple indices sorted by attribute
-	// a's value, so narrow queries scan only one value range. The
-	// ranking-order index lives in rankState so it drifts atomically.
-	colIdx [][]int32
 
 	// mu guards the mutable counters so one DB can serve concurrent
 	// clients (the HTTP layer in internal/web does exactly that).
@@ -161,8 +198,9 @@ type DB struct {
 	queryLimit int
 }
 
-// New builds a hidden database from cfg. It validates the configuration and
-// precomputes the ranking order.
+// New builds a hidden database from cfg. It validates the configuration,
+// copies cfg.Data into its rank-ordered store (keeping no reference to
+// it) and indexes every attribute.
 func New(cfg Config) (*DB, error) {
 	if len(cfg.Data) == 0 {
 		return nil, fmt.Errorf("hidden: empty database")
@@ -185,32 +223,18 @@ func New(cfg Config) (*DB, error) {
 	if cfg.Filters != nil && len(cfg.Filters) != len(cfg.Data) {
 		return nil, fmt.Errorf("hidden: %d filter rows for %d tuples", len(cfg.Filters), len(cfg.Data))
 	}
-	rank := cfg.Rank
-	if rank == nil {
-		rank = SumRank{}
-	}
 	db := &DB{
-		data:       cfg.Data,
 		filters:    cfg.Filters,
 		caps:       append([]Capability(nil), cfg.Caps...),
 		k:          cfg.K,
 		queryLimit: cfg.QueryLimit,
 	}
-	if err := db.Rerank(rank); err != nil {
+	if err := db.rerank(cfg.Data, cfg.Rank); err != nil {
 		return nil, err
 	}
 	db.domains = make([]query.Interval, m)
-	for j := 0; j < m; j++ {
-		lo, hi := cfg.Data[0][j], cfg.Data[0][j]
-		for _, t := range cfg.Data {
-			if t[j] < lo {
-				lo = t[j]
-			}
-			if t[j] > hi {
-				hi = t[j]
-			}
-		}
-		db.domains[j] = query.Interval{Lo: lo, Hi: hi}
+	for j, c := range db.ranking.Load().cols {
+		db.domains[j] = query.Interval{Lo: c.lo, Hi: c.hi}
 	}
 	if cfg.Domains != nil {
 		if len(cfg.Domains) != m {
@@ -224,7 +248,6 @@ func New(cfg Config) (*DB, error) {
 			db.domains[j] = adv
 		}
 	}
-	db.buildIndexes()
 	return db, nil
 }
 
@@ -233,49 +256,79 @@ func New(cfg Config) (*DB, error) {
 // by the chaos layer as a recoverable fault. r must be
 // domination-consistent like any Ranking (nil means SumRank); discovery
 // stays exact because skyline membership never depends on the ranking,
-// only query counts drift. Concurrent queries are safe: each loads one
-// complete rank state.
+// only query counts drift. r.Order sees the rows in Config.Data order,
+// read from the current state, so its index tie-breaks match New's. The
+// new rank-ordered store is built aside and published atomically:
+// concurrent queries each load one complete state, and a failing r
+// leaves the old one installed.
 func (db *DB) Rerank(r Ranking) error {
+	return db.rerank(db.ranking.Load().views(), r)
+}
+
+// rerank orders data (in Config.Data order) by r and publishes the
+// resulting rankState.
+func (db *DB) rerank(data [][]int, r Ranking) error {
 	if r == nil {
 		r = SumRank{}
 	}
-	order, err := r.Order(db.data)
+	order, err := r.Order(data)
 	if err != nil {
 		return err
 	}
-	if len(order) != len(db.data) {
-		return fmt.Errorf("hidden: ranking returned %d positions for %d tuples", len(order), len(db.data))
+	n, m := len(data), len(db.caps)
+	if len(order) != n {
+		return fmt.Errorf("hidden: ranking returned %d positions for %d tuples", len(order), n)
 	}
-	pos := make([]int, len(order))
-	seen := make([]bool, len(order))
+	rs := &rankState{m: m, rows: make([]int, n*m), id: make([]int32, n), cols: make([]column, m)}
+	seen := make([]bool, n)
 	for p, i := range order {
-		if i < 0 || i >= len(order) || seen[i] {
+		if i < 0 || i >= n || seen[i] {
 			return fmt.Errorf("hidden: ranking order is not a permutation")
 		}
 		seen[i] = true
-		pos[i] = p
+		rs.id[p] = int32(i)
+		copy(rs.rows[p*m:(p+1)*m], data[i])
 	}
-	byRank := make([]int32, len(order))
-	for p, i := range order {
-		byRank[p] = int32(i)
+	for a := range rs.cols {
+		rs.cols[a] = rs.index(a)
 	}
-	db.ranking.Store(&rankState{pos: pos, byRank: byRank})
+	db.ranking.Store(rs)
 	return nil
 }
 
-func (db *DB) buildIndexes() {
-	n, m := len(db.data), len(db.caps)
-	db.colIdx = make([][]int32, m)
-	for a := 0; a < m; a++ {
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		sort.Slice(idx, func(x, y int) bool {
-			return db.data[idx[x]][a] < db.data[idx[y]][a]
-		})
-		db.colIdx[a] = idx
+// index builds column a's postings: a counting sort by value when the
+// value range fits the offset table (rows are visited in rank order, so
+// each value's run comes out rank-ordered), a comparison sort otherwise.
+func (rs *rankState) index(a int) column {
+	n := rs.n()
+	c := column{lo: rs.rows[a], hi: rs.rows[a], post: make([]int32, n)}
+	for r := 0; r < n; r++ {
+		v := rs.rows[r*rs.m+a]
+		c.lo, c.hi = min(c.lo, v), max(c.hi, v)
 	}
+	if w := c.hi - c.lo; w >= 0 && w < n {
+		c.off = make([]int32, w+2)
+		for r := 0; r < n; r++ {
+			c.off[rs.rows[r*rs.m+a]-c.lo+1]++
+		}
+		for v := 1; v < len(c.off); v++ {
+			c.off[v] += c.off[v-1]
+		}
+		next := append([]int32(nil), c.off[:w+1]...)
+		for r := 0; r < n; r++ {
+			v := rs.rows[r*rs.m+a] - c.lo
+			c.post[next[v]] = int32(r)
+			next[v]++
+		}
+		return c
+	}
+	for r := range c.post {
+		c.post[r] = int32(r)
+	}
+	slices.SortFunc(c.post, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(rs.rows[int(x)*rs.m+a], rs.rows[int(y)*rs.m+a]), cmp.Compare(x, y))
+	})
+	return c
 }
 
 // MustNew is New that panics on error; convenient in tests and examples.
@@ -290,9 +343,10 @@ func MustNew(cfg Config) *DB {
 // NumAttrs returns the number of ranking attributes m.
 func (db *DB) NumAttrs() int { return len(db.caps) }
 
-// Size returns the number of tuples n. A real hidden database would not
-// reveal this; it is exposed for experiment bookkeeping only.
-func (db *DB) Size() int { return len(db.data) }
+// Size returns the number of tuples n, the row count of the rank-ordered
+// store (duplicates included). A real hidden database would not reveal
+// this; it is exposed for experiment bookkeeping only.
+func (db *DB) Size() int { return db.ranking.Load().n() }
 
 // K returns the top-k output limit of the interface.
 func (db *DB) K() int { return db.k }
@@ -371,88 +425,130 @@ func (db *DB) queryInternal(q query.Q) (Result, [][]string, error) {
 	db.queries++
 	db.mu.Unlock()
 
-	matched, overflow := db.evaluate(q)
+	rs := db.ranking.Load()
+	var idArr [64]int32 // evaluate appends here; past 64 ids it allocates
+	matched, overflow := db.evaluate(rs, q, idArr[:0])
 	out := Result{Overflow: overflow}
 	if len(matched) == 0 {
 		return out, nil, nil
 	}
 	// The rows share one flat backing array, each capped so a caller's
 	// append cannot run into the next row.
-	m := len(db.caps)
+	m := rs.m
 	flat := make([]int, len(matched)*m)
 	out.Tuples = make([][]int, len(matched))
 	var filters [][]string
 	if db.filters != nil {
 		filters = make([][]string, len(matched))
 	}
-	for j, i := range matched {
+	for j, r := range matched {
 		row := flat[j*m : (j+1)*m : (j+1)*m]
-		copy(row, db.data[i])
+		copy(row, rs.row(r))
 		out.Tuples[j] = row
 		if filters != nil {
-			filters[j] = db.filters[i]
+			filters[j] = db.filters[rs.id[r]]
 		}
 	}
 	return out, filters, nil
 }
 
-// evaluate returns the indices of the top-k matching tuples (rank order)
-// and whether the match set overflowed k. Two plans, identical semantics:
-// a narrow query scans only its most selective attribute's value range; a
-// broad query scans tuples best-rank-first and stops at the k+1-st match.
-func (db *DB) evaluate(q query.Q) ([]int32, bool) {
-	rs := db.ranking.Load()
-	var ivArr [16]query.Interval // wider schemas allocate the box
-	box := q.CanonicalizeInto(ivArr[:0], db.domains)
-	if box.Empty() {
-		return nil, false
-	}
-	n := len(db.data)
-	bestAttr, bestLo, bestHi := -1, 0, n
-	for a, iv := range box.Dims {
-		dom := db.domains[a]
-		if iv.Lo <= dom.Lo && iv.Hi >= dom.Hi {
-			continue // unconstrained attribute
-		}
-		col := db.colIdx[a]
-		lo := sort.Search(n, func(i int) bool { return db.data[col[i]][a] >= iv.Lo })
-		hi := sort.Search(n, func(i int) bool { return db.data[col[i]][a] > iv.Hi })
-		if hi-lo < bestHi-bestLo {
-			bestAttr, bestLo, bestHi = a, lo, hi
+// bound is one constrained attribute of a query: a matching row's value
+// on attribute a lies in [lo, hi].
+type bound struct{ a, lo, hi int }
+
+func matches(row []int, bs []bound) bool {
+	for _, b := range bs {
+		if v := row[b.a]; v < b.lo || v > b.hi {
+			return false
 		}
 	}
-	if bestAttr >= 0 && bestHi-bestLo <= n/4 {
-		var matched []int32
-		for _, i := range db.colIdx[bestAttr][bestLo:bestHi] {
-			if box.Contains(db.data[i]) {
-				matched = append(matched, i)
-			}
-		}
-		overflow := len(matched) > db.k
-		slices.SortFunc(matched, func(a, b int32) int { return cmp.Compare(rs.pos[a], rs.pos[b]) })
-		if overflow {
-			matched = matched[:db.k]
-		}
-		return matched, overflow
-	}
-	matched := make([]int32, 0, db.k+1)
-	for _, i := range rs.byRank {
-		if box.Contains(db.data[i]) {
-			matched = append(matched, i)
-			if len(matched) > db.k {
-				return matched[:db.k], true
-			}
-		}
-	}
-	return matched, false
+	return true
 }
 
-// GroundTruth exposes a copy of the raw data for offline verification in
-// experiments and tests. Discovery algorithms must not call it.
+// evaluate appends to dst the row ids (ranks) of the top-k matching
+// tuples, best first, and reports whether the match set overflowed k.
+// Only attributes the query narrows below the data's own range are
+// checked, and never the one whose postings are scanned. Three plans,
+// identical answers:
+//   - when the most selective attribute pins one value, its postings are
+//     in rank order, a subsequence of the row walk below: walk them and
+//     stop at the k+1-st match;
+//   - when that attribute's run is no longer than the rows the row walk
+//     would visit, estimated as k+1 over the match fraction with the
+//     attributes taken as independent, collect the run's matches and
+//     sort their rank ids;
+//   - otherwise walk the rows best-rank-first and stop at the k+1-st
+//     match.
+func (db *DB) evaluate(rs *rankState, q query.Q, dst []int32) ([]int32, bool) {
+	var ivArr [16]query.Interval // wider schemas allocate the box
+	box := q.CanonicalizeInto(ivArr[:0], db.domains)
+	var bArr [16]bound
+	bs := bArr[:0]
+	n := rs.n()
+	scan, scanLo, scanHi := -1, 0, n
+	sel := 1.0 // the match fraction, were the attributes independent
+	for a, iv := range box.Dims {
+		c := &rs.cols[a]
+		lo, hi := max(iv.Lo, c.lo), min(iv.Hi, c.hi)
+		if lo > hi {
+			return dst, false // no row has a value in range
+		}
+		if lo == c.lo && hi == c.hi {
+			continue // unconstrained attribute
+		}
+		i, j := rs.span(a, lo, hi)
+		if j-i < scanHi-scanLo {
+			scan, scanLo, scanHi = len(bs), i, j
+		}
+		sel *= float64(j-i) / float64(n)
+		bs = append(bs, bound{a, lo, hi})
+	}
+	if scan >= 0 {
+		a := bs[scan].a
+		post := rs.cols[a].post[scanLo:scanHi]
+		if len(post) == 0 {
+			return dst, false
+		}
+		single := rs.row(post[0])[a] == rs.row(post[len(post)-1])[a]
+		if single || float64(len(post))*sel <= float64(db.k+1) {
+			// The scanned postings satisfy their own bound.
+			rest := len(bs) - 1
+			bs[scan] = bs[rest]
+			bs = bs[:rest]
+			for _, r := range post {
+				if matches(rs.row(r), bs) {
+					if dst = append(dst, r); single && len(dst) > db.k {
+						return dst[:db.k], true
+					}
+				}
+			}
+			if !single {
+				slices.Sort(dst)
+			}
+			if len(dst) > db.k {
+				return dst[:db.k], true
+			}
+			return dst, false
+		}
+	}
+	for r := range int32(n) {
+		if matches(rs.row(r), bs) {
+			if dst = append(dst, r); len(dst) > db.k {
+				return dst[:db.k], true
+			}
+		}
+	}
+	return dst, false
+}
+
+// GroundTruth returns a copy of the tuples in Config.Data order, rebuilt
+// from the rank-ordered store, for offline verification in experiments
+// and tests. Discovery algorithms must not call it.
 func (db *DB) GroundTruth() [][]int {
-	out := make([][]int, len(db.data))
-	for i, t := range db.data {
-		out[i] = append([]int(nil), t...)
+	rs := db.ranking.Load()
+	out := make([][]int, rs.n())
+	for r, i := range rs.id {
+		out[i] = append([]int(nil), rs.row(int32(r))...)
 	}
 	return out
 }

@@ -204,53 +204,34 @@ func TestFiltersReturned(t *testing.T) {
 	}
 }
 
-// The two evaluation plans (selective-column scan and rank-order scan)
-// must agree exactly with a naive reference evaluation.
+// Every evaluation plan (a single value's postings, a sorted narrow
+// range, the rank-order row walk) and both range lookups (offset table,
+// binary search) must agree exactly with brute force, on duplicates,
+// advertised-domain overrides, wide schemas and across a Rerank.
 func TestEvaluatePlansAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	data := randData(rng, 2000, 3, 30)
-	db := MustNew(Config{Data: data, Caps: capsOf("RRR"), K: 4})
-	ops := []query.Op{query.LT, query.LE, query.EQ, query.GE, query.GT}
-	for trial := 0; trial < 500; trial++ {
-		var q query.Q
-		for p := 0; p < rng.Intn(4); p++ {
-			q = append(q, query.Predicate{Attr: rng.Intn(3), Op: ops[rng.Intn(5)], Value: rng.Intn(31)})
-		}
-		res, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference evaluation: every match, best-ranked first (the
-		// broad plan's by-rank scan, without its early stop).
-		var match [][]int
-		for _, i := range db.ranking.Load().byRank {
-			if q.Matches(data[i]) {
-				match = append(match, data[i])
-			}
-		}
-		wantOverflow := len(match) > 4
-		if res.Overflow != wantOverflow {
-			t.Fatalf("q=%v overflow=%v want %v", q, res.Overflow, wantOverflow)
-		}
-		wantLen := len(match)
-		if wantLen > 4 {
-			wantLen = 4
-		}
-		if len(res.Tuples) != wantLen {
-			t.Fatalf("q=%v returned %d tuples want %d", q, len(res.Tuples), wantLen)
-		}
-		// Both plans must return exactly the top-k in rank order.
-		if fmt.Sprint(res.Tuples) != fmt.Sprint(match[:wantLen]) {
-			t.Fatalf("q=%v returned %v, want %v", q, res.Tuples, match[:wantLen])
-		}
-		// Domination consistency within the answer (SumRank).
-		for i := 0; i < len(res.Tuples); i++ {
-			for j := i + 1; j < len(res.Tuples); j++ {
-				if skyline.Dominates(res.Tuples[j], res.Tuples[i]) {
-					t.Fatalf("q=%v: later tuple dominates earlier: %v before %v", q, res.Tuples[i], res.Tuples[j])
+	for name, s := range map[string]tableShape{
+		"domain30":   {n: 2000, m: 3, k: 4, width: 30},
+		"wide":       {n: 2000, m: 3, k: 4, width: 100000},
+		"duplicates": {n: 2000, m: 3, k: 4, width: 4},
+		"at-n":       {n: 500, m: 2, k: 3, width: 500},
+		"past-n":     {n: 500, m: 2, k: 3, width: 501},
+		"override":   {n: 1000, m: 3, k: 5, width: 50, widen: 20},
+		"20-attrs":   {n: 300, m: 20, k: 6, width: 8},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			db, data := newChecked(t, genTable(rng, s))
+			rankings := []Ranking{SumRank{}, AttrRank{Attr: 1 % s.m}, LexRank{}, RandomWeightRank{Seed: 9}}
+			for _, rank := range rankings {
+				if err := db.Rerank(rank); err != nil {
+					t.Fatal(err)
+				}
+				order := rankOrder(t, rank, data)
+				for trial := 0; trial < 150; trial++ {
+					checkQuery(t, db, data, order, randQuery(rng, data, 3))
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -183,8 +183,22 @@ func Skyband(data [][]int, kBand int) []int {
 	if kBand < 1 {
 		return nil
 	}
-	order, sums := sumOrder(data)
 	var out []int
+	for i, c := range SkybandCounts(data, kBand) {
+		if c < kBand {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// SkybandCounts returns, for each tuple, the number of other tuples that
+// dominate it, capped at kBand (kBand >= 1): a count below kBand is exact,
+// kBand means kBand or more. It is Skyband's sum-presorted scan, so a
+// tuple's count stops growing the moment it reaches the cap.
+func SkybandCounts(data [][]int, kBand int) []int {
+	order, sums := sumOrder(data)
+	counts := make([]int, len(data))
 	for pos, i := range order {
 		count := 0
 		for _, j := range order[:pos] {
@@ -192,18 +206,14 @@ func Skyband(data [][]int, kBand int) []int {
 				break // the rest of the prefix ties on sum: no dominators there
 			}
 			if Dominates(data[j], data[i]) {
-				count++
-				if count >= kBand {
+				if count++; count >= kBand {
 					break
 				}
 			}
 		}
-		if count < kBand {
-			out = append(out, i)
-		}
+		counts[i] = count
 	}
-	sort.Ints(out)
-	return out
+	return counts
 }
 
 // IsSkyline reports whether tuple t is on the skyline of data ∪ {t} — i.e.,
