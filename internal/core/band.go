@@ -32,17 +32,13 @@ type BandResult struct {
 // counting dominators inside the discovered set.
 type bandCollector struct {
 	tuples [][]int
-	seen   map[string]bool
+	seen   tupleMap[struct{}]
 }
 
 func (bc *bandCollector) add(ts [][]int) {
-	if bc.seen == nil {
-		bc.seen = map[string]bool{}
-	}
 	for _, t := range ts {
-		if key := tupleKey(t); !bc.seen[key] {
-			bc.seen[key] = true
-			bc.tuples = append(bc.tuples, append([]int(nil), t...))
+		if bc.seen.add(t, struct{}{}) {
+			bc.tuples = append(bc.tuples, t)
 		}
 	}
 }
@@ -82,7 +78,7 @@ func rqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 
 	runTree := func(base query.Q) error {
 		c.sky = nil // each sub-run keeps its own candidate skyline
-		c.merged = map[string]bool{}
+		c.merged = tupleMap[struct{}]{}
 		attrs := allAttrs(c.m)
 		me := make([]bool, c.m)
 		for j := range me {
@@ -98,15 +94,13 @@ func rqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 		return bc.finish(kBand, c.queries, false), err
 	}
 	frontier := append([][]int(nil), bc.tuples...)
-	explored := map[string]bool{}
+	var explored tupleMap[struct{}]
 	for level := 2; level <= kBand; level++ {
 		var next [][]int
 		for _, t := range frontier {
-			key := fmt.Sprint(t)
-			if explored[key] {
+			if !explored.add(t, struct{}{}) {
 				continue
 			}
-			explored[key] = true
 			before := len(bc.tuples)
 			// Cover {u : t dominates u} with m disjoint branches.
 			for j := 0; j < c.m; j++ {

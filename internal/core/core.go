@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -185,7 +186,7 @@ type ctx struct {
 	queries  int     // successfully issued queries
 	inflight int     // reserved but not yet answered (parallel budget exactness)
 	sky      [][]int // current candidate skyline (mutually non-dominated)
-	merged   map[string]bool
+	merged   tupleMap[struct{}]
 	trace    []TraceEvent
 
 	// open holds the R(q) lower bounds of every parallel RQ-tree node
@@ -195,7 +196,7 @@ type ctx struct {
 	// partial-result filter in result.
 	open     map[int]openRegion
 	lastNode int
-	origin   map[string][]int
+	origin   tupleMap[[]int]
 }
 
 // openRegion is a tree node's R(q) lower bounds: lb[j] bounds attribute
@@ -206,7 +207,7 @@ type openRegion struct {
 }
 
 func newCtx(db Interface, opt Options) *ctx {
-	c := &ctx{db: db, opt: opt, m: db.NumAttrs(), k: db.K(), merged: map[string]bool{}}
+	c := &ctx{db: db, opt: opt, m: db.NumAttrs(), k: db.K()}
 	c.domains = make([]query.Interval, c.m)
 	for i := 0; i < c.m; i++ {
 		c.domains[i] = db.Domain(i)
@@ -314,11 +315,9 @@ func (c *ctx) overflowed(res hidden.Result) bool {
 func (c *ctx) merge(t []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := tupleKey(t)
-	if c.merged[key] {
+	if !c.merged.add(t, struct{}{}) {
 		return
 	}
-	c.merged[key] = true
 	var kept bool
 	c.sky, kept = skyline.Merge(c.sky, t)
 	if kept && c.opt.Trace {
@@ -349,32 +348,54 @@ func (c *ctx) skySnapshot() [][]int {
 	return append([][]int(nil), c.sky...)
 }
 
-// tupleKey renders a tuple as a compact map key.
-func tupleKey(t []int) string {
-	buf := make([]byte, 0, len(t)*4)
-	for _, v := range t {
-		buf = appendInt(buf, v)
-		buf = append(buf, ',')
-	}
-	return string(buf)
+// tupleMap maps tuples, by value, to values of type V. A tuple hashes
+// its ints, and tuples with equal hashes are told apart by comparing
+// them. It keeps the tuples it is given, which core never mutates. The
+// zero value is an empty map.
+type tupleMap[V any] struct {
+	head    map[uint64]int32 // hash -> 1 + index of its newest entry
+	entries []tupleEntry[V]
 }
 
-func appendInt(buf []byte, v int) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
+type tupleEntry[V any] struct {
+	t    []int
+	v    V
+	next int32 // 1 + index of the previous entry with the same hash; 0 ends
+}
+
+func hashTuple(t []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range t {
+		h = (h ^ uint64(v)) * 1099511628211
 	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
+	return h
+}
+
+// get returns a pointer to t's value, or nil when t is absent.
+func (s *tupleMap[V]) get(t []int) *V {
+	for i := s.head[hashTuple(t)]; i != 0; i = s.entries[i-1].next {
+		if e := &s.entries[i-1]; slices.Equal(e.t, t) {
+			return &e.v
 		}
 	}
-	return append(buf, tmp[i:]...)
+	return nil
+}
+
+// add inserts t with value v unless t is present, and reports whether it
+// did.
+func (s *tupleMap[V]) add(t []int, v V) bool {
+	h := hashTuple(t)
+	for i := s.head[h]; i != 0; i = s.entries[i-1].next {
+		if slices.Equal(s.entries[i-1].t, t) {
+			return false
+		}
+	}
+	if s.head == nil {
+		s.head = map[uint64]int32{}
+	}
+	s.entries = append(s.entries, tupleEntry[V]{t: t, v: v, next: s.head[h]})
+	s.head[h] = int32(len(s.entries))
+	return true
 }
 
 // openNode registers a parallel RQ-tree node as unfinished and returns
@@ -405,13 +426,11 @@ func (c *ctx) closeNode(id int) {
 func (c *ctx) noteOrigin(ts [][]int, lb []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.origin == nil {
-		c.origin = map[string][]int{}
-	}
 	for _, t := range ts {
-		key := tupleKey(t)
-		if prev, ok := c.origin[key]; !ok || (prev != nil && lb == nil) {
-			c.origin[key] = lb
+		if prev := c.origin.get(t); prev == nil {
+			c.origin.add(t, lb)
+		} else if lb == nil {
+			*prev = nil
 		}
 	}
 }
@@ -425,9 +444,12 @@ func (c *ctx) noteOrigin(ts [][]int, lb []int) {
 // hold. Every walker of one run branches on the same attributes in the
 // same order, so lower bounds compare position by position.
 func (c *ctx) openCanDominate(t []int) bool {
-	src, ok := c.origin[tupleKey(t)]
-	if ok && src == nil {
-		return false
+	var src []int
+	if p := c.origin.get(t); p != nil {
+		if *p == nil {
+			return false
+		}
+		src = *p
 	}
 	for _, r := range c.open {
 		below, looser := true, src == nil

@@ -22,9 +22,9 @@ type treeWalker struct {
 	me    []bool  // me[j]: attrs[j] supports ">=" and participates in R(q)
 	rq    bool    // Algorithm 2 mode (Seen check + R(q)); false = Algorithm 1
 
-	mu       sync.Mutex // guards seen/seenKeys when sibling subtrees run in parallel
-	seen     [][]int    // every tuple returned so far (RQ mode), oldest first
-	seenKeys map[string]bool
+	mu      sync.Mutex // guards seen/seenSet when sibling subtrees run in parallel
+	seen    [][]int    // every tuple returned so far (RQ mode), oldest first
+	seenSet tupleMap[struct{}]
 }
 
 // node is one query-tree node. ub[j] is the exclusive upper bound on
@@ -37,7 +37,7 @@ type node struct {
 }
 
 func newTreeWalker(c *ctx, base query.Q, attrs []int, me []bool, rqMode bool) *treeWalker {
-	return &treeWalker{c: c, base: base, attrs: attrs, me: me, rq: rqMode, seenKeys: map[string]bool{}}
+	return &treeWalker{c: c, base: base, attrs: attrs, me: me, rq: rqMode}
 }
 
 func (w *treeWalker) root() node {
@@ -322,10 +322,8 @@ func (w *treeWalker) noteSeen(ts [][]int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, t := range ts {
-		key := tupleKey(t)
-		if !w.seenKeys[key] {
-			w.seenKeys[key] = true
-			w.seen = append(w.seen, append([]int(nil), t...))
+		if w.seenSet.add(t, struct{}{}) {
+			w.seen = append(w.seen, t)
 		}
 	}
 }

@@ -172,19 +172,49 @@ func TestChildrenWithDominatorOutsideQ(t *testing.T) {
 	}
 }
 
-func TestTupleKey(t *testing.T) {
-	a := tupleKey([]int{1, -2, 30})
-	b := tupleKey([]int{1, -2, 30})
-	cKey := tupleKey([]int{1, 2, 30})
-	if a != b || a == cKey {
-		t.Fatalf("tupleKey broken: %q %q %q", a, b, cKey)
+// tupleMap keys tuples by value: equal values share an entry whichever
+// slice holds them, and tuples whose hashes collide stay apart.
+func TestTupleMap(t *testing.T) {
+	var s tupleMap[int]
+	if s.get([]int{1}) != nil {
+		t.Fatal("empty map has an entry")
 	}
-	// No ambiguity between {12, 3} and {1, 23}.
-	if tupleKey([]int{12, 3}) == tupleKey([]int{1, 23}) {
-		t.Fatal("tupleKey ambiguous")
+	if !s.add([]int{1, -2, 30}, 1) || s.add([]int{1, -2, 30}, 2) {
+		t.Fatal("add must insert a new tuple once")
 	}
-	if tupleKey([]int{0}) != "0," {
-		t.Fatalf("zero encoding %q", tupleKey([]int{0}))
+	if p := s.get([]int{1, -2, 30}); p == nil || *p != 1 {
+		t.Fatalf("get = %v, want the first value", p)
+	}
+	for _, u := range [][]int{{1, 2, 30}, {12, 3}, {1, 23}, {0}, {}, {1, -2}} {
+		if s.get(u) != nil || !s.add(u, len(u)) {
+			t.Fatalf("%v taken for a stored tuple", u)
+		}
+	}
+	// Tuples that differ only in their last value: a collision-prone
+	// shape for a hash over ints.
+	for v := range 2000 {
+		s.add([]int{7, v}, v)
+	}
+	for v := range 2000 {
+		if p := s.get([]int{7, v}); p == nil || *p != v {
+			t.Fatalf("{7, %d} lost", v)
+		}
+	}
+	*s.get([]int{12, 3}) = 99
+	if *s.get([]int{12, 3}) != 99 || *s.get([]int{1, 23}) != 2 {
+		t.Fatal("a value written through get reached the wrong entry")
+	}
+	// Tuples whose hashes collide share a chain and are told apart by
+	// value: chain {4} in behind {3}, as if the two hashed alike.
+	h := hashTuple([]int{3})
+	s.add([]int{3}, 3)
+	s.entries = append(s.entries, tupleEntry[int]{t: []int{4}, v: 4, next: s.head[h]})
+	s.head[h] = int32(len(s.entries))
+	if p := s.get([]int{3}); p == nil || *p != 3 {
+		t.Fatal("{3} lost behind a colliding entry")
+	}
+	if s.add([]int{3}, 5) {
+		t.Fatal("{3} added twice behind a colliding entry")
 	}
 }
 

@@ -10,11 +10,10 @@
 package hidden
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -127,27 +126,54 @@ type Config struct {
 // rankState is the database under one ranking, stored for the top-k
 // access pattern. Row r of rows is the r-th best-ranked tuple, so a row
 // id is its rank: the first k+1 matches of any rank-ordered scan are the
-// answer, with no sort. Each column's postings list the row ids by
-// (value, rank), so one attribute's value range is one contiguous run of
-// postings and a single-value run is already in rank order. A state is
-// immutable once published: Rerank builds a complete replacement and
-// swaps it in atomically, and in-flight queries keep the one they loaded.
+// answer, with no sort. Each column keeps cumulative rank bitmaps over
+// its value bins, so the rows of a value range are found 64 at a time in
+// rank order. Per attribute that costs at most (maxBins-1)·⌈n/64⌉ words
+// (31n/8 bytes), at most maxBins starts and a lookup table of at most n
+// bytes, next to the 8n bytes of its values; two more bitmaps serve the
+// whole state. A state is immutable once published: Rerank builds a
+// complete replacement and swaps it in atomically, and in-flight queries
+// keep the one they loaded.
 type rankState struct {
-	m    int
-	rows []int   // n*m values, row-major in rank order
-	id   []int32 // id[r] is row r's index in Config.Data
-	cols []column
+	m     int
+	words int     // ⌈n/64⌉, the length of one bitmap
+	rows  []int   // n*m values, row-major in rank order
+	id    []int32 // id[r] is row r's index in Config.Data
+	cols  []column
+	// bits holds every bitmap back to back, so a query names one by its
+	// first word: noRow's and everyRow's, then each column's.
+	bits []uint64
 }
 
-// column indexes one attribute of a rankState.
+// The bitmaps that open rankState.bits: a bound with no cut below ANDs
+// out noRow's, and one with no cut above ANDs in everyRow's.
+const (
+	noRow    = 0
+	everyRow = 1
+)
+
+// maxBins bounds the value bins of one column.
+const maxBins = 32
+
+// column indexes one attribute of a rankState. Its observed range
+// [lo, hi] is cut into at most maxBins bins of consecutive values: one
+// value per bin when the range holds at most maxBins values, otherwise
+// quantile bins of at least n/maxBins rows each (but the last), cut only
+// at values that occur, so a value many rows share leaves fewer bins.
+// Bin b holds the values from start[b] up to start[b+1]-1; the last one
+// runs to hi.
 type column struct {
-	lo, hi int     // observed value range
-	post   []int32 // row ids sorted by (value, rank)
-	// off[v-lo] is the first posting with value >= v (off[hi-lo+1] = n),
-	// so a value range's postings are found with two loads. It exists
-	// only when hi-lo < n, which keeps it no larger than post; wider
-	// ranges binary-search post.
-	off []int32
+	lo, hi int
+	start  []int
+	// tab[v-lo] is value v's bin. It exists when the range holds at most
+	// max(n, maxBins) values, which keeps it within n bytes (or maxBins);
+	// wider ranges binary-search start.
+	tab []uint8
+	// The cumulative bitmaps, one per bin but the last, start at word
+	// cum of rankState.bits: bit r of bin b's bitmap is set when row r's
+	// value lies in a bin <= b. The last bin's would hold every row and
+	// is not stored.
+	cum int
 }
 
 func (rs *rankState) n() int { return len(rs.id) }
@@ -157,17 +183,20 @@ func (rs *rankState) row(r int32) []int {
 	return rs.rows[i : i+rs.m : i+rs.m]
 }
 
-// span returns the postings run [i, j) of column a's values in [lo, hi],
-// which must lie inside the column's observed range.
-func (rs *rankState) span(a, lo, hi int) (int, int) {
-	c := &rs.cols[a]
-	if c.off != nil {
-		return int(c.off[lo-c.lo]), int(c.off[hi-c.lo+1])
+// bin returns the bin of v, which must lie in [c.lo, c.hi].
+func (c *column) bin(v int) int {
+	if c.tab != nil {
+		return int(c.tab[v-c.lo])
 	}
-	val := func(p int) int { return rs.rows[int(c.post[p])*rs.m+a] }
-	i := sort.Search(len(c.post), func(p int) bool { return val(p) >= lo })
-	j := i + sort.Search(len(c.post)-i, func(p int) bool { return val(i+p) > hi })
-	return i, j
+	i, j := 1, len(c.start) // the answer is the last b with start[b] <= v
+	for i < j {
+		if h := int(uint(i+j) >> 1); c.start[h] <= v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i - 1
 }
 
 // views returns row views in Config.Data order, aliasing the state.
@@ -185,6 +214,9 @@ type DB struct {
 	caps    []Capability
 	k       int
 	domains []query.Interval // advertised
+	// observed holds each attribute's data range, which no Rerank
+	// changes; evaluate folds queries against it.
+	observed []query.Interval
 
 	// ranking is the current rankState; queries load it once and never
 	// see a torn mix of two rankings, which is what lets Rerank drift the
@@ -232,16 +264,17 @@ func New(cfg Config) (*DB, error) {
 	if err := db.rerank(cfg.Data, cfg.Rank); err != nil {
 		return nil, err
 	}
-	db.domains = make([]query.Interval, m)
+	db.observed = make([]query.Interval, m)
 	for j, c := range db.ranking.Load().cols {
-		db.domains[j] = query.Interval{Lo: c.lo, Hi: c.hi}
+		db.observed[j] = query.Interval{Lo: c.lo, Hi: c.hi}
 	}
+	db.domains = slices.Clone(db.observed)
 	if cfg.Domains != nil {
 		if len(cfg.Domains) != m {
 			return nil, fmt.Errorf("hidden: %d domain overrides for %d attributes", len(cfg.Domains), m)
 		}
 		for j, adv := range cfg.Domains {
-			obs := db.domains[j]
+			obs := db.observed[j]
 			if adv.Lo > obs.Lo || adv.Hi < obs.Hi {
 				return nil, fmt.Errorf("hidden: advertised domain %v of A%d does not contain the data range %v", adv, j, obs)
 			}
@@ -279,7 +312,8 @@ func (db *DB) rerank(data [][]int, r Ranking) error {
 	if len(order) != n {
 		return fmt.Errorf("hidden: ranking returned %d positions for %d tuples", len(order), n)
 	}
-	rs := &rankState{m: m, rows: make([]int, n*m), id: make([]int32, n), cols: make([]column, m)}
+	W := (n + 63) / 64
+	rs := &rankState{m: m, words: W, rows: make([]int, n*m), id: make([]int32, n), cols: make([]column, m)}
 	seen := make([]bool, n)
 	for p, i := range order {
 		if i < 0 || i >= n || seen[i] {
@@ -289,46 +323,100 @@ func (db *DB) rerank(data [][]int, r Ranking) error {
 		rs.id[p] = int32(i)
 		copy(rs.rows[p*m:(p+1)*m], data[i])
 	}
+	size := 2 * W
 	for a := range rs.cols {
-		rs.cols[a] = rs.index(a)
+		c := rs.bins(a)
+		c.cum, size = size, size+(len(c.start)-1)*W
+		rs.cols[a] = c
+	}
+	rs.bits = make([]uint64, size)
+	for r := 0; r < n; r++ {
+		rs.bits[everyRow*W+r>>6] |= 1 << (r & 63)
+	}
+	for a := range rs.cols {
+		rs.index(a)
 	}
 	db.ranking.Store(rs)
 	return nil
 }
 
-// index builds column a's postings: a counting sort by value when the
-// value range fits the offset table (rows are visited in rank order, so
-// each value's run comes out rank-ordered), a comparison sort otherwise.
-func (rs *rankState) index(a int) column {
-	n := rs.n()
-	c := column{lo: rs.rows[a], hi: rs.rows[a], post: make([]int32, n)}
+// bins returns column a's observed range, bin starts and, when the range
+// is narrow, lookup table. Quantile starts come from one histogram pass
+// when the range is under 8n values, and from a sorted copy of the
+// column otherwise.
+func (rs *rankState) bins(a int) column {
+	n, m := rs.n(), rs.m
+	c := column{lo: rs.rows[a], hi: rs.rows[a]}
 	for r := 0; r < n; r++ {
-		v := rs.rows[r*rs.m+a]
+		v := rs.rows[r*m+a]
 		c.lo, c.hi = min(c.lo, v), max(c.hi, v)
 	}
-	if w := c.hi - c.lo; w >= 0 && w < n {
-		c.off = make([]int32, w+2)
-		for r := 0; r < n; r++ {
-			c.off[rs.rows[r*rs.m+a]-c.lo+1]++
+	// w is the range's width less one; uint arithmetic keeps it exact
+	// even for a column spanning MinInt..MaxInt.
+	w := uint(c.hi) - uint(c.lo)
+	// cut starts a new bin at value v, with below rows under it, once the
+	// current bin holds n/maxBins rows. Every bin but the last holds that
+	// many, so there are at most maxBins.
+	first := 0 // the rows under the current bin
+	cut := func(v, below int) {
+		if len(c.start) == 0 || (below-first)*maxBins >= n {
+			c.start, first = append(c.start, v), below
 		}
-		for v := 1; v < len(c.off); v++ {
-			c.off[v] += c.off[v-1]
-		}
-		next := append([]int32(nil), c.off[:w+1]...)
-		for r := 0; r < n; r++ {
-			v := rs.rows[r*rs.m+a] - c.lo
-			c.post[next[v]] = int32(r)
-			next[v]++
-		}
-		return c
 	}
-	for r := range c.post {
-		c.post[r] = int32(r)
+	switch {
+	case w < maxBins:
+		c.tab = make([]uint8, w+1)
+		for i := range c.tab {
+			c.start = append(c.start, c.lo+i)
+			c.tab[i] = uint8(i)
+		}
+	case w < 8*uint(n):
+		count := make([]int32, w+1)
+		for r := 0; r < n; r++ {
+			count[rs.rows[r*m+a]-c.lo]++
+		}
+		if w < uint(n) {
+			c.tab = make([]uint8, w+1)
+		}
+		below := 0
+		for i, k := range count {
+			if k > 0 {
+				cut(c.lo+i, below)
+				below += int(k)
+			}
+			if c.tab != nil {
+				c.tab[i] = uint8(len(c.start) - 1)
+			}
+		}
+	default:
+		vals := make([]int, n)
+		for r := range vals {
+			vals[r] = rs.rows[r*m+a]
+		}
+		slices.Sort(vals)
+		for i, v := range vals {
+			if i == 0 || v != vals[i-1] {
+				cut(v, i)
+			}
+		}
 	}
-	slices.SortFunc(c.post, func(x, y int32) int {
-		return cmp.Or(cmp.Compare(rs.rows[int(x)*rs.m+a], rs.rows[int(y)*rs.m+a]), cmp.Compare(x, y))
-	})
 	return c
+}
+
+// index fills column a's cumulative bitmaps, whose place in rs.bits its
+// bins already fixed.
+func (rs *rankState) index(a int) {
+	n, m, W, c := rs.n(), rs.m, rs.words, &rs.cols[a]
+	last := len(c.start) - 1
+	cum := rs.bits[c.cum : c.cum+last*W]
+	for r := 0; r < n; r++ {
+		if b := c.bin(rs.rows[r*m+a]); b < last {
+			cum[b*W+r>>6] |= 1 << (r & 63)
+		}
+	}
+	for i := W; i < len(cum); i++ {
+		cum[i] |= cum[i-W]
+	}
 }
 
 // MustNew is New that panics on error; convenient in tests and examples.
@@ -394,17 +482,19 @@ func (db *DB) SetQueryLimit(limit int) {
 // enforces per-attribute capabilities and the rate limit, then returns the
 // k best-ranked matching tuples.
 func (db *DB) Query(q query.Q) (Result, error) {
-	res, _, err := db.queryInternal(q)
+	res, _, err := db.queryInternal(q, false)
 	return res, err
 }
 
 // QueryFull is Query but also returns the filtering-attribute rows aligned
 // with the returned tuples (nil when the database has no filter columns).
 func (db *DB) QueryFull(q query.Q) (Result, [][]string, error) {
-	return db.queryInternal(q)
+	return db.queryInternal(q, true)
 }
 
-func (db *DB) queryInternal(q query.Q) (Result, [][]string, error) {
+// queryInternal answers q, and with withFilters also gathers the
+// returned rows' filter values.
+func (db *DB) queryInternal(q query.Q, withFilters bool) (Result, [][]string, error) {
 	for _, p := range q {
 		if p.Attr < 0 || p.Attr >= len(db.caps) {
 			return Result{}, nil, fmt.Errorf("%w: attribute A%d out of range", ErrBadQuery, p.Attr)
@@ -438,7 +528,7 @@ func (db *DB) queryInternal(q query.Q) (Result, [][]string, error) {
 	flat := make([]int, len(matched)*m)
 	out.Tuples = make([][]int, len(matched))
 	var filters [][]string
-	if db.filters != nil {
+	if withFilters && db.filters != nil {
 		filters = make([][]string, len(matched))
 	}
 	for j, r := range matched {
@@ -465,74 +555,60 @@ func matches(row []int, bs []bound) bool {
 	return true
 }
 
+// cut is one narrowed attribute of a query, as the first words of the
+// bitmap its rows are ANDed with and of the one they are masked by.
+type cut struct{ in, out int }
+
 // evaluate appends to dst the row ids (ranks) of the top-k matching
 // tuples, best first, and reports whether the match set overflowed k.
-// Only attributes the query narrows below the data's own range are
-// checked, and never the one whose postings are scanned. Three plans,
-// identical answers:
-//   - when the most selective attribute pins one value, its postings are
-//     in rank order, a subsequence of the row walk below: walk them and
-//     stop at the k+1-st match;
-//   - when that attribute's run is no longer than the rows the row walk
-//     would visit, estimated as k+1 over the match fraction with the
-//     attributes taken as independent, collect the run's matches and
-//     sort their rank ids;
-//   - otherwise walk the rows best-rank-first and stop at the k+1-st
-//     match.
+// The predicates fold into one [lo, hi] per attribute, clamped to the
+// observed range, and attributes left at their whole range drop out.
+// Each remaining one ANDs in the bitmap of hi's bin and masks out the
+// bitmap of the bin below lo's; when lo or hi falls inside its bin, the
+// rows that pass also get an exact value check on that attribute. The
+// walk takes 64 rows at a time in rank order and stops at the k+1-st
+// match: at most ⌈n/64⌉ word operations per narrowed attribute, whatever
+// the selectivity.
 func (db *DB) evaluate(rs *rankState, q query.Q, dst []int32) ([]int32, bool) {
 	var ivArr [16]query.Interval // wider schemas allocate the box
-	box := q.CanonicalizeInto(ivArr[:0], db.domains)
+	box := q.CanonicalizeInto(ivArr[:0], db.observed)
 	var bArr [16]bound
-	bs := bArr[:0]
-	n := rs.n()
-	scan, scanLo, scanHi := -1, 0, n
-	sel := 1.0 // the match fraction, were the attributes independent
+	var cutArr [16]cut
+	checks, cuts := bArr[:0], cutArr[:0]
+	W := rs.words
 	for a, iv := range box.Dims {
-		c := &rs.cols[a]
-		lo, hi := max(iv.Lo, c.lo), min(iv.Hi, c.hi)
-		if lo > hi {
+		if iv.Lo > iv.Hi {
 			return dst, false // no row has a value in range
 		}
-		if lo == c.lo && hi == c.hi {
+		c := &rs.cols[a]
+		if iv.Lo == c.lo && iv.Hi == c.hi {
 			continue // unconstrained attribute
 		}
-		i, j := rs.span(a, lo, hi)
-		if j-i < scanHi-scanLo {
-			scan, scanLo, scanHi = len(bs), i, j
+		last := len(c.start) - 1
+		bl, bh := c.bin(iv.Lo), c.bin(iv.Hi)
+		k, end := cut{in: everyRow * W, out: noRow * W}, c.hi // end: the last value of hi's bin
+		if bh < last {
+			k.in, end = c.cum+bh*W, c.start[bh+1]-1
 		}
-		sel *= float64(j-i) / float64(n)
-		bs = append(bs, bound{a, lo, hi})
-	}
-	if scan >= 0 {
-		a := bs[scan].a
-		post := rs.cols[a].post[scanLo:scanHi]
-		if len(post) == 0 {
-			return dst, false
+		if bl > 0 {
+			k.out = c.cum + (bl-1)*W
 		}
-		single := rs.row(post[0])[a] == rs.row(post[len(post)-1])[a]
-		if single || float64(len(post))*sel <= float64(db.k+1) {
-			// The scanned postings satisfy their own bound.
-			rest := len(bs) - 1
-			bs[scan] = bs[rest]
-			bs = bs[:rest]
-			for _, r := range post {
-				if matches(rs.row(r), bs) {
-					if dst = append(dst, r); single && len(dst) > db.k {
-						return dst[:db.k], true
-					}
-				}
-			}
-			if !single {
-				slices.Sort(dst)
-			}
-			if len(dst) > db.k {
-				return dst[:db.k], true
-			}
-			return dst, false
+		cuts = append(cuts, k)
+		if c.start[bl] != iv.Lo || end != iv.Hi {
+			checks = append(checks, bound{a, iv.Lo, iv.Hi})
 		}
 	}
-	for r := range int32(n) {
-		if matches(rs.row(r), bs) {
+	words := rs.bits
+	for w := 0; w < W; w++ {
+		x := words[everyRow*W+w]
+		for _, k := range cuts {
+			x &= words[k.in+w] &^ words[k.out+w]
+		}
+		for ; x != 0; x &= x - 1 {
+			r := int32(w<<6 + bits.TrailingZeros64(x))
+			if len(checks) > 0 && !matches(rs.row(r), checks) {
+				continue
+			}
 			if dst = append(dst, r); len(dst) > db.k {
 				return dst[:db.k], true
 			}

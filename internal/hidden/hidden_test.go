@@ -204,23 +204,34 @@ func TestFiltersReturned(t *testing.T) {
 	}
 }
 
-// Every evaluation plan (a single value's postings, a sorted narrow
-// range, the rank-order row walk) and both range lookups (offset table,
-// binary search) must agree exactly with brute force, on duplicates,
-// advertised-domain overrides, wide schemas and across a Rerank.
+// The bitmap plan must agree exactly with brute force on every shape of
+// column index: one-value bins (domain30, up to one-value-max), quantile
+// bins whose bounds fall inside a bin (quantile-min, wide), lookup by
+// table (at-n) and by binary search (past-n), starts cut from a
+// histogram (at-8n) and from a sorted copy (past-8n), duplicate-heavy
+// columns with fewer bins than maxBins (duplicates, heavy), values at
+// the ends of int (edges), advertised domains wider than the data
+// (override), more than 16 attributes (20-attrs), and across a Rerank.
 func TestEvaluatePlansAgree(t *testing.T) {
 	for name, s := range map[string]tableShape{
-		"domain30":   {n: 2000, m: 3, k: 4, width: 30},
-		"wide":       {n: 2000, m: 3, k: 4, width: 100000},
-		"duplicates": {n: 2000, m: 3, k: 4, width: 4},
-		"at-n":       {n: 500, m: 2, k: 3, width: 500},
-		"past-n":     {n: 500, m: 2, k: 3, width: 501},
-		"override":   {n: 1000, m: 3, k: 5, width: 50, widen: 20},
-		"20-attrs":   {n: 300, m: 20, k: 6, width: 8},
+		"domain30":      {n: 2000, m: 3, k: 4, width: 30},
+		"one-value-max": {n: 2000, m: 3, k: 4, width: maxBins},
+		"quantile-min":  {n: 2000, m: 3, k: 4, width: maxBins + 1},
+		"wide":          {n: 2000, m: 3, k: 4, width: 100000},
+		"duplicates":    {n: 2000, m: 3, k: 4, width: 4},
+		"heavy":         {n: 2000, m: 3, k: 4, width: 1000, heavy: true},
+		"at-n":          {n: 500, m: 2, k: 3, width: 500},
+		"past-n":        {n: 500, m: 2, k: 3, width: 501},
+		"at-8n":         {n: 500, m: 2, k: 3, width: 4000},
+		"past-8n":       {n: 500, m: 2, k: 3, width: 4001},
+		"edges":         {n: 500, m: 3, k: 3, edges: true},
+		"override":      {n: 1000, m: 3, k: 5, width: 50, widen: 20},
+		"20-attrs":      {n: 300, m: 20, k: 6, width: 8},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			db, data := newChecked(t, genTable(rng, s))
+			checkIndexShape(t, db, s)
 			rankings := []Ranking{SumRank{}, AttrRank{Attr: 1 % s.m}, LexRank{}, RandomWeightRank{Seed: 9}}
 			for _, rank := range rankings {
 				if err := db.Rerank(rank); err != nil {
@@ -232,6 +243,25 @@ func TestEvaluatePlansAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkIndexShape checks that a table of shape s got the column index
+// its shape names, so the shapes above keep covering what they claim.
+func checkIndexShape(t *testing.T, db *DB, s tableShape) {
+	t.Helper()
+	for a, c := range db.ranking.Load().cols {
+		w := uint(c.hi) - uint(c.lo) // the range's width less one
+		if !s.edges && w != uint(s.width-1) {
+			t.Fatalf("A%d observed width %d, want %d", a, w+1, s.width)
+		}
+		one, table := w < maxBins, w < maxBins || w < uint(s.n)
+		if one != (uint(len(c.start)) == w+1) || len(c.start) > maxBins || table != (c.tab != nil) {
+			t.Fatalf("A%d: %d bins, table %v, for %d values", a, len(c.start), c.tab != nil, w+1)
+		}
+		if s.heavy && len(c.start) >= maxBins {
+			t.Fatalf("A%d: duplicate-heavy column has %d bins", a, len(c.start))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -12,14 +13,26 @@ import (
 // tableShape sizes a generated test table.
 type tableShape struct {
 	n, m, k int
-	// width is the number of distinct values an attribute may take: a
-	// width up to n takes the offset-table lookup, a wider one the binary
-	// search, and small widths give duplicate values and rows.
+	// width is the number of values in an attribute's observed range
+	// (once n >= 2, both ends occur). Under maxBins values every value
+	// has its own bin; wider ranges get quantile bins, looked up by table
+	// below n values and by binary search from n on, and cut from a
+	// histogram below 8n values and from a sorted copy from 8n on. Small
+	// widths give duplicate values and rows.
 	width int
 	// widen, when positive, advertises domains up to widen values looser
 	// than the data on each side.
 	widen int
+	// heavy makes three rows in four share the lowest value of each
+	// attribute, which leaves fewer quantile bins than maxBins.
+	heavy bool
+	// edges draws every value from intEdges instead, so the observed
+	// range spans all of int.
+	edges bool
 }
+
+// intEdges are the ends of int, their neighbours and the values around 0.
+var intEdges = []int{math.MinInt, math.MinInt + 1, -1, 0, 1, math.MaxInt - 1, math.MaxInt}
 
 // genTable draws a table of the given shape. Each row carries its own
 // index as its one filter value, so a test can tell duplicate rows apart
@@ -30,7 +43,18 @@ func genTable(rng *rand.Rand, s tableShape) Config {
 	for i := range cfg.Data {
 		row := make([]int, s.m)
 		for a := range row {
-			row[a] = base + rng.Intn(s.width)
+			switch {
+			case s.edges:
+				row[a] = intEdges[rng.Intn(len(intEdges))]
+			case i == 0:
+				row[a] = base
+			case i == s.n-1:
+				row[a] = base + s.width - 1
+			case s.heavy && rng.Intn(4) > 0:
+				row[a] = base
+			default:
+				row[a] = base + rng.Intn(s.width)
+			}
 		}
 		cfg.Data[i] = row
 		cfg.Filters[i] = []string{strconv.Itoa(i)}
@@ -45,7 +69,14 @@ func genTable(rng *rand.Rand, s tableShape) Config {
 			for _, t := range cfg.Data {
 				lo, hi = min(lo, t[a]), max(hi, t[a])
 			}
-			cfg.Domains[a] = query.Interval{Lo: lo - rng.Intn(s.widen+1), Hi: hi + rng.Intn(s.widen+1)}
+			wlo, whi := lo-rng.Intn(s.widen+1), hi+rng.Intn(s.widen+1)
+			if wlo > lo { // wrapped past MinInt
+				wlo = math.MinInt
+			}
+			if whi < hi {
+				whi = math.MaxInt
+			}
+			cfg.Domains[a] = query.Interval{Lo: wlo, Hi: whi}
 		}
 	}
 	return cfg
@@ -61,14 +92,18 @@ func testRankings(m int, seed int64) []Ranking {
 		RandomWeightRank{Seed: seed}, RandomExtensionRank{Seed: seed}, AdversarialRank{}}
 }
 
-// randQuery draws up to maxPreds predicates whose values sit at, or one
-// off, values that occur in data, so most queries match something.
+// randQuery draws up to maxPreds predicates. Most values sit at, or one
+// off (wrapping at the ends of int), values that occur in data, so most
+// queries match something; one in eight is MinInt or MaxInt.
 func randQuery(rng *rand.Rand, data [][]int, maxPreds int) query.Q {
 	ops := []query.Op{query.LT, query.LE, query.EQ, query.GE, query.GT}
 	var q query.Q
 	for p := rng.Intn(maxPreds + 1); p > 0; p-- {
 		a := rng.Intn(len(data[0]))
 		v := data[rng.Intn(len(data))][a] + rng.Intn(3) - 1
+		if rng.Intn(8) == 0 {
+			v = []int{math.MinInt, math.MaxInt}[rng.Intn(2)]
+		}
 		q = append(q, query.Predicate{Attr: a, Op: ops[rng.Intn(len(ops))], Value: v})
 	}
 	return q
@@ -142,12 +177,17 @@ func newChecked(t *testing.T, cfg Config) (*DB, [][]int) {
 }
 
 // FuzzQuery holds DB.QueryFull to a brute-force top-k on small random
-// tables: duplicate values, value ranges on both sides of n (the offset
-// table and the binary search), advertised-domain overrides, more than 16
-// attributes (the evaluator's stack buffers overflow to the heap) and a
-// Rerank between queries. shape picks the table's size; script holds
-// 3-byte steps: a predicate (attribute, operator, value row), 0xF0-0xFE
-// to issue the query built so far, 0xFF to issue it and then rerank.
+// tables: duplicate values, value ranges on both sides of maxBins, n and
+// 8n (one-value and quantile bins, table and binary-search lookups,
+// histogram and sorted cuts), duplicate-heavy columns, values at the ends
+// of int, advertised-domain overrides, more than 16 attributes (the
+// evaluator's stack buffers overflow to the heap) and a Rerank between
+// queries. shape picks the table's size and kind (bits 28-29: plain,
+// boundary widths, int edges, heavy; bit 30: 100 more rows, so bitmaps
+// span words); script holds 3-byte steps: a
+// predicate (attribute, operator, value row; an operator byte from 0xE0
+// takes its value from intEdges instead), 0xF0-0xFE to issue the query
+// built so far, 0xFF to issue it and then rerank.
 func FuzzQuery(f *testing.F) {
 	f.Add(int64(1), uint32(0), []byte{})
 	f.Add(int64(2), uint32(0x91aa7), []byte{0, 2, 5, 0xF0, 0, 0, 1, 4, 9, 0xFF, 3, 0, 2, 1, 7})
@@ -157,8 +197,20 @@ func FuzzQuery(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(shape%64)
+		if shape>>30&1 == 1 {
+			n += 100 // bitmaps of two or three words
+		}
 		s := tableShape{n: n, m: 1 + int(shape>>6%20), k: 1 + int(shape>>11%6)}
 		s.width = []int{1, 2, 3, n/2 + 1, n, n + 1, 4 * n, 1 << 20}[shape>>14%8]
+		switch shape >> 28 % 4 {
+		case 1:
+			s.width = []int{maxBins - 1, maxBins, maxBins + 1, n - 1, 8*n - 1, 8 * n, 8*n + 1, 1 << 40}[shape>>14%8]
+		case 2:
+			s.edges = true
+		case 3:
+			s.heavy = true
+		}
+		s.width = max(s.width, 1)
 		if shape>>17&1 == 1 {
 			s.widen = 3
 		}
@@ -174,6 +226,9 @@ func FuzzQuery(f *testing.F) {
 			if b0 < 0xF0 {
 				a := int(b0) % s.m
 				v := data[int(b2)%n][a] + int(b1>>3)%3 - 1
+				if b1 >= 0xE0 {
+					v = intEdges[int(b2)%len(intEdges)]
+				}
 				q = append(q, query.Predicate{Attr: a, Op: query.Op(b1 % 5), Value: v})
 				continue
 			}

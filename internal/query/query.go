@@ -9,6 +9,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -228,34 +229,35 @@ func (q Q) CanonicalizeInto(dst []Interval, domains []Interval) Box {
 		if p.Attr < 0 || p.Attr >= len(b.Dims) {
 			continue
 		}
-		iv := &b.Dims[p.Attr]
-		switch p.Op {
-		case LT:
-			if p.Value-1 < iv.Hi {
-				iv.Hi = p.Value - 1
-			}
-		case LE:
-			if p.Value < iv.Hi {
-				iv.Hi = p.Value
-			}
-		case EQ:
-			if p.Value > iv.Lo {
-				iv.Lo = p.Value
-			}
-			if p.Value < iv.Hi {
-				iv.Hi = p.Value
-			}
-		case GE:
-			if p.Value > iv.Lo {
-				iv.Lo = p.Value
-			}
-		case GT:
-			if p.Value+1 > iv.Lo {
-				iv.Lo = p.Value + 1
-			}
-		}
+		b.Dims[p.Attr] = b.Dims[p.Attr].Intersect(p.interval())
 	}
 	return b
+}
+
+// interval returns the values that satisfy p, saturating at the ends of
+// int instead of wrapping: "< MinInt" and "> MaxInt" give the empty
+// interval {MaxInt, MinInt}, which stays empty under any Intersect. An
+// invalid operator constrains nothing.
+func (p Predicate) interval() Interval {
+	switch p.Op {
+	case LT:
+		if p.Value == math.MinInt {
+			return Interval{math.MaxInt, math.MinInt}
+		}
+		return Interval{math.MinInt, p.Value - 1}
+	case LE:
+		return Interval{math.MinInt, p.Value}
+	case EQ:
+		return Interval{p.Value, p.Value}
+	case GE:
+		return Interval{p.Value, math.MaxInt}
+	case GT:
+		if p.Value == math.MaxInt {
+			return Interval{math.MaxInt, math.MinInt}
+		}
+		return Interval{p.Value + 1, math.MaxInt}
+	}
+	return Interval{math.MinInt, math.MaxInt}
 }
 
 // Fingerprint hashes the box's bounds into a deterministic 64-bit

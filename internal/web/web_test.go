@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -106,6 +107,29 @@ func TestSearchEndpointSemantics(t *testing.T) {
 		resp, _ := post(bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad request %q answered %d", bad, resp.StatusCode)
+		}
+	}
+}
+
+// A predicate no int satisfies ("< MinInt", "> MaxInt") answers empty,
+// where a bound that wrapped would have matched every row.
+func TestSearchIntEdgesAnswerEmpty(t *testing.T) {
+	db := testDB(t, 50, 2, 8, 3, capsAll(2, hidden.RQ), 0)
+	srv := httptest.NewServer(NewServer(db, nil))
+	defer srv.Close()
+	for _, body := range []string{
+		fmt.Sprintf(`{"preds":[{"attr":0,"op":"<","value":%d}]}`, math.MinInt),
+		fmt.Sprintf(`{"preds":[{"attr":1,"op":">","value":%d}]}`, math.MaxInt),
+	} {
+		resp, err := http.Post(srv.URL+"/v1/search", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr SearchResponse
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(sr.Tuples) != 0 || sr.Overflow {
+			t.Fatalf("%s: status %d, %+v, err %v; want an empty answer", body, resp.StatusCode, sr, err)
 		}
 	}
 }
