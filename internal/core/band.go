@@ -31,6 +31,7 @@ type BandResult struct {
 // value) during a band run; band membership is decided at the end by
 // counting dominators inside the discovered set.
 type bandCollector struct {
+	k      int // band level K
 	tuples [][]int
 	seen   tupleMap[struct{}]
 }
@@ -43,13 +44,13 @@ func (bc *bandCollector) add(ts [][]int) {
 	}
 }
 
-// finish keeps the tuples with fewer than kBand dominators. The counts are
-// capped at kBand, which leaves every reported count exact.
-func (bc *bandCollector) finish(kBand, queries int, complete bool) BandResult {
-	counts := skyline.SkybandCounts(bc.tuples, kBand)
+// finish keeps the tuples with fewer than K dominators. The counts are
+// capped at K, which leaves every reported count exact.
+func (bc *bandCollector) finish(queries int, complete bool) BandResult {
+	counts := skyline.SkybandCounts(bc.tuples, bc.k)
 	res := BandResult{Queries: queries, Complete: complete}
 	for i, t := range bc.tuples {
-		if counts[i] < kBand {
+		if counts[i] < bc.k {
 			res.Tuples = append(res.Tuples, t)
 			res.Counts = append(res.Counts, counts[i])
 		}
@@ -74,24 +75,19 @@ func rqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	}
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
-	var bc bandCollector
+	bc := bandCollector{k: kBand}
 
 	runTree := func(base query.Q) error {
 		c.sky = nil // each sub-run keeps its own candidate skyline
 		c.merged = tupleMap[struct{}]{}
-		attrs := allAttrs(c.m)
-		me := make([]bool, c.m)
-		for j := range me {
-			me[j] = true
-		}
-		w := newTreeWalker(c, base, attrs, me, true)
-		err := w.run()
+		w := newTreeWalker(c, base, allAttrs(c.m), true)
+		err := w.run(nil)
 		bc.add(c.sky)
 		return err
 	}
 
 	if err := runTree(nil); err != nil {
-		return bc.finish(kBand, c.queries, false), err
+		return bc.finish(c.queries, false), err
 	}
 	frontier := append([][]int(nil), bc.tuples...)
 	var explored tupleMap[struct{}]
@@ -113,14 +109,14 @@ func rqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 					base = append(base, query.Predicate{Attr: i, Op: query.GE, Value: t[i]})
 				}
 				if err := runTree(base); err != nil {
-					return bc.finish(kBand, c.queries, false), err
+					return bc.finish(c.queries, false), err
 				}
 			}
 			next = append(next, bc.tuples[before:]...)
 		}
 		frontier = next
 	}
-	return bc.finish(kBand, c.queries, true), nil
+	return bc.finish(c.queries, true), nil
 }
 
 // pqBandSky discovers the K-skyband through a point-predicate interface.
@@ -139,12 +135,12 @@ func pqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	}
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
-	var bc bandCollector
-	err := pqBandRun(c, kBand, &bc)
-	return bc.finish(kBand, c.queries, err == nil), err
+	bc := bandCollector{k: kBand}
+	err := pqBandRun(c, &bc)
+	return bc.finish(c.queries, err == nil), err
 }
 
-func pqBandRun(c *ctx, kBand int, bc *bandCollector) error {
+func pqBandRun(c *ctx, bc *bandCollector) error {
 	res, err := c.issue(nil) // SELECT *
 	if err != nil {
 		return err
@@ -161,7 +157,7 @@ func pqBandRun(c *ctx, kBand int, bc *bandCollector) error {
 
 	runPlane := func(d1, d2 int, fixed query.Q, pruneA func(p *plane)) error {
 		p := newPlane(c, d1, d2, fixed)
-		p.h = kBand
+		p.h = bc.k
 		if pruneA != nil {
 			pruneA(p)
 		}
@@ -177,7 +173,7 @@ func pqBandRun(c *ctx, kBand int, bc *bandCollector) error {
 		// Enumerate values best-first until K tuples or domain exhausted.
 		dom := c.domains[0]
 		found := 0
-		for v := dom.Lo; v <= dom.Hi && found < kBand; v++ {
+		for v := dom.Lo; v <= dom.Hi && found < bc.k; v++ {
 			r, err := c.issue(query.Q{{Attr: 0, Op: query.EQ, Value: v}})
 			if err != nil {
 				return err
@@ -229,70 +225,20 @@ func pqBandRun(c *ctx, kBand int, bc *bandCollector) error {
 
 // sqBandSky discovers the K-skyband through a one-ended-range interface —
 // the paper's hardest case (§7.2 proves completeness may require crawling).
-// The tree branches on an answered tuple provably dominated by K-1 others;
-// when an overflowing node has no such tuple the subtree is abandoned and
-// the result is marked partial (Complete=false). With k >= K this rarely
-// triggers near the top of the tree, matching the paper's observation.
+// It is Algorithm 1's walk configured with a band collector as its answer
+// sink and a branch tuple provably dominated by K-1 others (see
+// treeWalker.branchTuple); when an overflowing node has no such tuple the
+// subtree is abandoned and the result is marked partial (Complete=false).
+// With k >= K this rarely triggers near the top of the tree, matching the
+// paper's observation. At K=1 the walk is SQ-DB-SKY's, query for query.
 func sqBandSky(db Interface, kBand int, opt Options) (BandResult, error) {
 	if kBand < 1 {
 		return BandResult{}, fmt.Errorf("core: band level must be >= 1, got %d", kBand)
 	}
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
-	var bc bandCollector
-	complete := true
-
-	type bnode struct{ ub []int }
-	rootUB := make([]int, c.m)
-	for a := 0; a < c.m; a++ {
-		rootUB[a] = c.domains[a].Hi + 1
-	}
-	queue := []bnode{{ub: rootUB}}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		var q query.Q
-		for a := 0; a < c.m; a++ {
-			if n.ub[a] <= c.domains[a].Hi {
-				q = append(q, query.Predicate{Attr: a, Op: query.LT, Value: n.ub[a]})
-			}
-		}
-		res, err := c.issue(q)
-		if err != nil {
-			return bc.finish(kBand, c.queries, false), err
-		}
-		bc.add(res.Tuples)
-		if !c.overflowed(res) {
-			continue
-		}
-		// Domination counts within the answer are exact for answered
-		// tuples: every dominator matches the (downward-closed) query and
-		// outranks its dominee, so it appears earlier in the same answer.
-		branch := -1
-		for i := range res.Tuples {
-			cnt := 0
-			for j := 0; j < i; j++ {
-				if skyline.Dominates(res.Tuples[j], res.Tuples[i]) {
-					cnt++
-				}
-			}
-			if cnt >= kBand-1 {
-				branch = i
-				break
-			}
-		}
-		if branch < 0 {
-			complete = false // cannot branch without risking missed band tuples
-			continue
-		}
-		b := res.Tuples[branch]
-		for a := 0; a < c.m; a++ {
-			ub := append([]int(nil), n.ub...)
-			if b[a] < ub[a] {
-				ub[a] = b[a]
-			}
-			queue = append(queue, bnode{ub: ub})
-		}
-	}
-	return bc.finish(kBand, c.queries, complete), nil
+	w := newTreeWalker(c, nil, allAttrs(c.m), false)
+	w.band = &bandCollector{k: kBand}
+	err := w.run(nil)
+	return w.band.finish(c.queries, err == nil && !w.incomplete), err
 }

@@ -21,13 +21,13 @@ func TestBandCollectorDedup(t *testing.T) {
 }
 
 func TestBandCollectorFinish(t *testing.T) {
-	var bc bandCollector
+	bc := bandCollector{k: 2}
 	bc.add([][]int{
 		{0, 0}, // dominates the others
 		{1, 1}, // dominated by 1
 		{2, 2}, // dominated by 2
 	})
-	res := bc.finish(2, 42, true)
+	res := bc.finish(42, true)
 	if res.Queries != 42 || !res.Complete {
 		t.Fatal("metadata lost")
 	}
@@ -60,7 +60,8 @@ func TestBandLevelOneEqualsSkyline(t *testing.T) {
 	if ok, diff := sameTupleSet(pq.Tuples, want); !ok {
 		t.Fatalf("PQ band-1: %s", diff)
 	}
-	sq, err := sqBandSky(mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{}), 1, Options{})
+	sqBandDB := &spyDB{DB: mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{})}
+	sq, err := sqBandSky(sqBandDB, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,13 @@ func TestBandLevelOneEqualsSkyline(t *testing.T) {
 	}
 	if ok, diff := sameTupleSet(sq.Tuples, want); !ok {
 		t.Fatalf("SQ band-1: %s", diff)
+	}
+	sqDB := &spyDB{DB: mkDB(t, data, capsAll(3, hidden.SQ), 3, hidden.SumRank{})}
+	if _, err := sqDBSky(sqDB, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if diff := queryOrderDiff(sqBandDB.queries, sqDB.queries); diff != "" {
+		t.Fatalf("SQ band-1 query sequence differs from SQ-DB-SKY's: %s", diff)
 	}
 }
 

@@ -482,14 +482,7 @@ func (c *ctx) mergeAll(ts [][]int) {
 // nondeterministic, and a deterministic merge order is part of the
 // parallel contract; sequential runs keep the paper's discovery order.
 func (c *ctx) result(err error) (Result, error) {
-	// Normalize cancellation (a dropped pool task's raw context error, or
-	// a context-bound backend aborted mid-request) to the anytime budget
-	// shape: callers see a partial result plus an error matching both
-	// ErrBudget and the context error.
-	if err != nil && !errors.Is(err, ErrBudget) &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		err = fmt.Errorf("%w: %w", ErrBudget, err)
-	}
+	err = anytimeErr(err)
 	res := Result{
 		Skyline:  append([][]int(nil), c.sky...),
 		Queries:  c.queries,
@@ -511,10 +504,19 @@ func (c *ctx) result(err error) (Result, error) {
 	if c.pool != nil {
 		sortTuples(res.Skyline)
 	}
-	if err != nil && !errors.Is(err, ErrBudget) {
-		return res, err
-	}
 	return res, err
+}
+
+// anytimeErr normalizes cancellation (a dropped pool task's raw context
+// error, or a context-bound backend aborted mid-request) to the anytime
+// budget shape: callers see a partial result plus an error matching both
+// ErrBudget and the context error.
+func anytimeErr(err error) error {
+	if err != nil && !errors.Is(err, ErrBudget) &&
+		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		return fmt.Errorf("%w: %w", ErrBudget, err)
+	}
+	return err
 }
 
 // sortTuples orders tuples lexicographically in place.

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"hiddensky/internal/hidden"
 	"hiddensky/internal/query"
 )
 
@@ -44,23 +43,18 @@ func mqDBSky(db Interface, opt Options) (Result, error) {
 	}
 	rangeAttrs := append(append([]int(nil), sqA...), rqA...)
 	sort.Ints(rangeAttrs)
-	me := make([]bool, len(rangeAttrs))
-	anyRQ := false
-	for j, a := range rangeAttrs {
-		me[j] = db.Cap(a) == hidden.RQ
-		anyRQ = anyRQ || me[j]
-	}
+	anyRQ := len(rqA) > 0
 
 	// Phase 1: range-attribute skyline (point attributes set to "*"). The
 	// pruning bound of phase 2 needs the complete phase-1 skyline, so the
 	// parallel run drains the pool (a barrier) before moving on.
-	w := newTreeWalker(c, nil, rangeAttrs, me, anyRQ)
+	w := newTreeWalker(c, nil, rangeAttrs, anyRQ)
 	if pool != nil {
-		w.runOn(pool)
+		w.runOn(pool, nil)
 		if err := pool.Wait(); err != nil {
 			return c.result(err)
 		}
-	} else if err := w.run(); err != nil {
+	} else if err := w.run(nil); err != nil {
 		return c.result(err)
 	}
 	phase1 := c.skySnapshot()
@@ -83,7 +77,7 @@ func mqDBSky(db Interface, opt Options) (Result, error) {
 		}
 	}
 
-	err := mqPointPhase(c, pruneP, pqA, rangeAttrs, me, anyRQ, phase1)
+	err := mqPointPhase(c, pruneP, pqA, rangeAttrs, anyRQ, phase1)
 	if pool != nil {
 		// The probe loop schedules cell trees asynchronously; drain them.
 		if werr := pool.Wait(); err == nil {
@@ -98,7 +92,7 @@ func mqDBSky(db Interface, opt Options) (Result, error) {
 // free) that returns empty discards the entire completion sub-lattice. At
 // full depth the cell is explored with the range-phase tree walker, seeded
 // with the probe's answer to avoid re-issuing the cell's root query.
-func mqPointPhase(c *ctx, pruneP query.Q, pqA, rangeAttrs []int, me []bool, anyRQ bool, phase1 [][]int) error {
+func mqPointPhase(c *ctx, pruneP query.Q, pqA, rangeAttrs []int, anyRQ bool, phase1 [][]int) error {
 	prefix := make(query.Q, 0, len(pqA))
 	// Each probe is built into one reused buffer: c.issue does not retain
 	// its query, and a probe that seeds a cell walker is cloned there.
@@ -140,12 +134,12 @@ func mqPointPhase(c *ctx, pruneP query.Q, pqA, rangeAttrs []int, me []bool, anyR
 			// reusing the probe answer as the root node's result. Cells are
 			// independent, so the parallel run lets their trees resolve on
 			// the pool while probing continues.
-			w := newTreeWalker(c, probe.Clone(), rangeAttrs, me, anyRQ)
+			w := newTreeWalker(c, probe.Clone(), rangeAttrs, anyRQ)
 			if c.pool != nil {
-				w.runSeededOn(c.pool, res)
+				w.runOn(c.pool, &res)
 				continue
 			}
-			if err := w.runSeeded(res); err != nil {
+			if err := w.run(&res); err != nil {
 				return err
 			}
 		}

@@ -37,8 +37,8 @@ func TestMQRangeOnlyPhaseWouldMissTuples(t *testing.T) {
 	// the range-minimal tuple: demonstrate the gap the point phase closes.
 	spy := &spyDB{DB: mkDB(t, data, caps, 1, hidden.AttrRank{Attr: 0})}
 	c := newCtx(spy, Options{})
-	w := newTreeWalker(c, nil, []int{0}, []bool{true}, true)
-	if err := w.run(); err != nil {
+	w := newTreeWalker(c, nil, []int{0}, true)
+	if err := w.run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.sky) != 1 || fmt.Sprint(c.sky[0]) != "[1 3]" {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -216,6 +217,14 @@ func Plan(db Interface, req Request) (*QueryPlan, error) {
 		}
 	}
 
+	view := db
+	if len(req.Filter) > 0 {
+		view = &filteredView{db: db, filter: req.Filter.Clone()}
+	}
+	if err := checkDomains(view); err != nil {
+		return nil, err
+	}
+
 	sqA, rqA, pqA := attrsByCap(db)
 	oneEnded := func() (int, bool) { // every attribute supports "<"?
 		for i := 0; i < m; i++ {
@@ -229,7 +238,7 @@ func Plan(db Interface, req Request) (*QueryPlan, error) {
 	switch {
 	case req.Resumable:
 		if req.Band > 0 {
-			return nil, planErrf("resumable runs discover the skyline; the K-skyband walk is not checkpointable")
+			return nil, planErrf("a session keeps only the skyline, and K-skyband counting needs every discovered tuple")
 		}
 		if algo != AlgoAuto && algo != AlgoSQ {
 			return nil, planErrf("resumable runs use the checkpointable SQ session walk; algo %q is not resumable", algo)
@@ -299,10 +308,6 @@ func Plan(db Interface, req Request) (*QueryPlan, error) {
 		}
 	}
 
-	view := db
-	if len(req.Filter) > 0 {
-		view = &filteredView{db: db, filter: req.Filter.Clone()}
-	}
 	return &QueryPlan{
 		Algo:      algo,
 		Band:      req.Band,
@@ -311,6 +316,18 @@ func Plan(db Interface, req Request) (*QueryPlan, error) {
 		db:        view,
 		session:   req.Session,
 	}, nil
+}
+
+// checkDomains rejects a database whose domain on some attribute ends at
+// MaxInt. The range walks bound an unconstrained node by Hi+1 and the
+// point walks step values up to Hi, and neither can pass MaxInt.
+func checkDomains(db Interface) error {
+	for a := 0; a < db.NumAttrs(); a++ {
+		if db.Domain(a).Hi == math.MaxInt {
+			return planErrf("the domain of A%d ends at MaxInt, which the walks cannot bound", a)
+		}
+	}
+	return nil
 }
 
 // Run executes the compiled plan under the given execution options and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -68,6 +69,20 @@ func TestResumeFilterPinned(t *testing.T) {
 	}
 }
 
+// maxIntDB serves three 2-attribute tuples whose A1 domain is advertised
+// up to math.MaxInt.
+func maxIntDB(t testing.TB, caps []hidden.Capability) *hidden.DB {
+	t.Helper()
+	db, err := hidden.New(hidden.Config{
+		Data: [][]int{{1, 5}, {3, 2}, {2, 2}}, Caps: caps, K: 1, Rank: hidden.SumRank{},
+		Domains: []query.Interval{{Lo: 0, Hi: 9}, {Lo: 0, Hi: math.MaxInt}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func TestPlanResolvesAuto(t *testing.T) {
 	sq, rq, pq := hidden.SQ, hidden.RQ, hidden.PQ
 	cases := []struct {
@@ -120,24 +135,41 @@ func TestPlanTypedErrors(t *testing.T) {
 		{"filter-ge-on-sq", []hidden.Capability{sq, sq}, Request{Filter: query.MustParse("A1>=3")}},
 		{"filter-attr-oob", []hidden.Capability{rq, rq}, Request{Filter: query.MustParse("A7=1")}},
 	}
+	expectUnsupported := func(t *testing.T, db *hidden.DB, req Request) {
+		t.Helper()
+		_, err := Run(db, req, Options{})
+		if !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("got %v, want ErrUnsupported", err)
+		}
+		var pe *PlanError
+		if !errors.As(err, &pe) || pe.Reason == "" {
+			t.Fatalf("error %v carries no *PlanError reason", err)
+		}
+		if served := db.QueriesIssued(); served != 0 {
+			t.Fatalf("planning issued %d queries", served)
+		}
+	}
 	for _, tc := range unsupported {
 		t.Run(tc.name, func(t *testing.T) {
-			db := planParityDB(t, tc.caps, 2)()
-			_, err := Plan(db, tc.req)
-			if !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("got %v, want ErrUnsupported", err)
-			}
-			var pe *PlanError
-			if !errors.As(err, &pe) || pe.Reason == "" {
-				t.Fatalf("error %v carries no *PlanError reason", err)
-			}
-			if served := db.QueriesIssued(); served != 0 {
-				t.Fatalf("planning issued %d queries", served)
-			}
+			expectUnsupported(t, planParityDB(t, tc.caps, 2)(), tc.req)
 		})
 	}
+	// A domain ending at MaxInt has no Hi+1 bound for the range walks and
+	// no end for the point walks' value loops, whatever the request.
+	for name, req := range map[string]Request{
+		"auto": {}, "sq": {Algo: AlgoSQ}, "rq": {Algo: AlgoRQ}, "pq": {Algo: AlgoPQ}, "mq": {Algo: AlgoMQ},
+		"rq-band": {Band: 2}, "sq-band": {Algo: AlgoSQ, Band: 2}, "resumable": {Resumable: true},
+	} {
+		t.Run("domain-ends-at-maxint/"+name, func(t *testing.T) {
+			expectUnsupported(t, maxIntDB(t, capsAll(2, rq)), req)
+		})
+	}
+	db := maxIntDB(t, capsAll(2, rq))
+	if _, err := NewSession(db).Resume(db, Options{}); !errors.Is(err, ErrUnsupported) || db.QueriesIssued() != 0 {
+		t.Errorf("Session.Resume on a MaxInt domain: %v after %d queries, want ErrUnsupported after none", err, db.QueriesIssued())
+	}
 
-	db := planParityDB(t, capsAll(2, rq), 3)()
+	db = planParityDB(t, capsAll(2, rq), 3)()
 	if _, err := Plan(db, Request{Algo: "quantum"}); err == nil || errors.Is(err, ErrUnsupported) {
 		t.Errorf("unknown algorithm: got %v, want a plain parse error", err)
 	}

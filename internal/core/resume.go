@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-
-	"hiddensky/internal/query"
 )
 
 // Session is a checkpoint of an interrupted SQ-DB-SKY run, designed for
@@ -17,8 +14,12 @@ import (
 // plain data — so discovery can stop at the quota, serialize, and resume
 // tomorrow without repeating a single query.
 //
-// Sessions apply to the SQ algorithm (which also runs on RQ interfaces);
-// its queue-based traversal makes the checkpoint exact.
+// Resume runs SQ-DB-SKY's own walker (which also runs on RQ interfaces)
+// with Pending as its FIFO queue and a checkpoint hook after every
+// answered node, so a session sliced by any budget issues exactly the
+// one-shot run's queries, in its order. A session keeps only the
+// skyline, so a K-skyband run, which counts dominators among every
+// discovered tuple, cannot be resumed.
 type Session struct {
 	// Pending holds the exclusive per-attribute upper-bound vectors of the
 	// unexplored tree nodes, FIFO order.
@@ -50,16 +51,16 @@ type Session struct {
 	// CheckpointEvery is the number of completed queries between
 	// OnCheckpoint invocations; values <= 0 mean after every query.
 	CheckpointEvery int `json:"-"`
+
+	base  int // Queries when the current Resume call began
+	since int // answers since the last OnCheckpoint of this call
 }
 
-// NewSession starts a fresh checkpointable run for db.
+// NewSession starts a fresh checkpointable run for db: its one pending
+// node is the SQ walk's root.
 func NewSession(db Interface) *Session {
-	m := db.NumAttrs()
-	root := make([]int, m)
-	for a := 0; a < m; a++ {
-		root[a] = db.Domain(a).Hi + 1
-	}
-	return &Session{Pending: [][]int{root}, Attrs: m}
+	w := newTreeWalker(newCtx(db, Options{}), nil, allAttrs(db.NumAttrs()), false)
+	return &Session{Pending: [][]int{w.root().ub}, Attrs: db.NumAttrs()}
 }
 
 // Done reports whether discovery has finished (nothing left to explore).
@@ -112,7 +113,8 @@ func (s *Session) check() error {
 // opt.MaxQueries queries in this session (0 = run to completion). It
 // returns the cumulative result so far; Result.Complete (equivalently
 // s.Done()) tells whether the skyline is final. The session is updated in
-// place and stays serializable between calls.
+// place and stays serializable between calls. A database whose domain
+// ends at MaxInt is rejected (see checkDomains) before any query.
 func (s *Session) Resume(db Interface, opt Options) (Result, error) {
 	if err := s.check(); err != nil {
 		return Result{}, err
@@ -120,107 +122,73 @@ func (s *Session) Resume(db Interface, opt Options) (Result, error) {
 	if db.NumAttrs() != s.Attrs {
 		return Result{}, fmt.Errorf("core: session has %d attributes, database %d", s.Attrs, db.NumAttrs())
 	}
-	db, opt = prepare(db, opt) // sessions honor the cache; the FIFO replay itself stays sequential
+	if err := checkDomains(db); err != nil {
+		return Result{}, err
+	}
+	db, opt = prepare(db, opt) // sessions honor the cache; the walk itself stays sequential
 	c := newCtx(db, opt)
 	for _, t := range s.Skyline {
 		c.merge(t)
 	}
 	c.trace = nil // seeding is not discovery
 
-	base := s.Queries // cost of previous sessions; c.queries counts this slice
-	every := s.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	sinceCheckpoint := 0
-
-	budgetErr := error(nil)
-	for len(s.Pending) > 0 {
-		ub := s.Pending[0]
-		q := sessionQuery(c, ub)
-		res, err := c.issue(q)
-		if errors.Is(err, ErrBudget) {
-			budgetErr = err
-			break // the node stays pending for the next session
-		}
-		if err != nil {
-			// A cancellation that surfaced from the backend itself (e.g.
-			// an aborted in-flight HTTP request) is normalized to the
-			// same anytime shape as the pre-query ctx check: the node
-			// stays pending and the session remains resumable.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				budgetErr = fmt.Errorf("%w: %w", ErrBudget, err)
-				break
-			}
-			out := s.snapshot(c, base, err)
-			if s.OnCheckpoint != nil { // the promised final hook, even on hard failures
-				if herr := s.OnCheckpoint(s); herr != nil {
-					err = errors.Join(fmt.Errorf("core: checkpoint hook: %w", herr), err)
-				}
-			}
-			return out, err
-		}
-		s.Pending = s.Pending[1:]
-		c.mergeAll(res.Tuples)
-		if c.overflowed(res) {
-			top := res.Tuples[0]
-			for a := 0; a < s.Attrs; a++ {
-				kid := append([]int(nil), ub...)
-				if top[a] < kid[a] {
-					kid[a] = top[a]
-				}
-				s.Pending = append(s.Pending, kid)
-			}
-		}
-		if s.OnCheckpoint != nil {
-			if sinceCheckpoint++; sinceCheckpoint >= every {
-				sinceCheckpoint = 0
-				s.sync(c, base)
-				if err := s.OnCheckpoint(s); err != nil {
-					herr := fmt.Errorf("core: checkpoint hook: %w", err)
-					return s.snapshot(c, base, herr), herr
-				}
-			}
-		}
-	}
-	out := s.snapshot(c, base, budgetErr)
+	s.base, s.since = s.Queries, 0 // cost of previous sessions; c.queries counts this slice
+	w := newTreeWalker(c, nil, allAttrs(c.m), false)
 	if s.OnCheckpoint != nil {
-		if err := s.OnCheckpoint(s); err != nil {
+		w.ckpt = s
+	}
+	err := w.runQueue(&s.Pending)
+	if errors.Is(err, errCheckpointHook) {
+		return s.snapshot(c, err), err // a failed mid-run hook ends the call
+	}
+	// A budget stop or cancellation leaves the unanswered node pending,
+	// and the session remains resumable.
+	err = anytimeErr(err)
+	out := s.snapshot(c, err)
+	if s.OnCheckpoint != nil { // the promised final hook, even on hard failures
+		if herr := s.OnCheckpoint(s); herr != nil {
 			// Surface the failed final checkpoint even on a budget stop —
 			// the caller must not believe the tail of the run was
 			// persisted. errors.Join keeps both conditions matchable.
-			return out, errors.Join(fmt.Errorf("core: checkpoint hook: %w", err), budgetErr)
+			err = errors.Join(fmt.Errorf("%w: %w", errCheckpointHook, herr), err)
 		}
 	}
-	return out, budgetErr
+	return out, err
+}
+
+// errCheckpointHook wraps an OnCheckpoint error.
+var errCheckpointHook = errors.New("core: checkpoint hook")
+
+// answered runs after each answered node of the Resume walk: every
+// CheckpointEvery answers it syncs the session and calls OnCheckpoint.
+func (s *Session) answered(c *ctx) error {
+	if s.since++; s.since < max(s.CheckpointEvery, 1) {
+		return nil
+	}
+	s.since = 0
+	s.sync(c)
+	if err := s.OnCheckpoint(s); err != nil {
+		return fmt.Errorf("%w: %w", errCheckpointHook, err)
+	}
+	return nil
 }
 
 // sync folds the context back into the session: after it returns the
 // session is a consistent, serializable checkpoint of the run so far.
 // It is idempotent (Queries is recomputed from the slice base, not
 // accumulated), so mid-run checkpoints and the final fold compose.
-func (s *Session) sync(c *ctx, base int) {
+func (s *Session) sync(c *ctx) {
 	s.Skyline = c.skySnapshot()
-	s.Queries = base + c.queries
+	s.Queries = s.base + c.queries
 }
 
 // snapshot is sync plus the cumulative Result.
-func (s *Session) snapshot(c *ctx, base int, err error) Result {
-	s.sync(c, base)
+func (s *Session) snapshot(c *ctx, err error) Result {
+	s.sync(c)
 	return Result{
 		Skyline:  append([][]int(nil), s.Skyline...),
 		Queries:  s.Queries,
 		Trace:    c.trace,
 		Complete: err == nil && len(s.Pending) == 0,
 	}
-}
-
-func sessionQuery(c *ctx, ub []int) query.Q {
-	var q query.Q
-	for a, v := range ub {
-		if v <= c.domains[a].Hi {
-			q = append(q, query.Predicate{Attr: a, Op: query.LT, Value: v})
-		}
-	}
-	return q
 }

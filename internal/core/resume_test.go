@@ -10,6 +10,7 @@ import (
 
 	"hiddensky/internal/hidden"
 	"hiddensky/internal/qcache"
+	"hiddensky/internal/query"
 	"hiddensky/internal/skyline"
 )
 
@@ -19,7 +20,8 @@ func TestSessionResumeMatchesOneShot(t *testing.T) {
 		data := randData(rng, 100+rng.Intn(200), 3, 10)
 		k := 1 + rng.Intn(4)
 
-		oneShot, err := sqDBSky(mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{}), Options{})
+		oneShotDB := &spyDB{DB: mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{})}
+		oneShot, err := sqDBSky(oneShotDB, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,10 +30,12 @@ func TestSessionResumeMatchesOneShot(t *testing.T) {
 		// each day (as a new API key would be).
 		s := NewSession(mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{}))
 		var last Result
+		var issued []query.Q
 		days := 0
 		for !s.Done() {
-			db := mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{})
+			db := &spyDB{DB: mkDB(t, data, capsAll(3, hidden.SQ), k, hidden.SumRank{})}
 			res, err := s.Resume(db, Options{MaxQueries: 7})
+			issued = append(issued, db.queries...)
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatal(err)
 			}
@@ -51,7 +55,24 @@ func TestSessionResumeMatchesOneShot(t *testing.T) {
 			t.Fatalf("trial %d: resumed cost %d, one-shot %d (no query may be repeated or skipped)",
 				trial, last.Queries, oneShot.Queries)
 		}
+		if diff := queryOrderDiff(issued, oneShotDB.queries); diff != "" {
+			t.Fatalf("trial %d: resumed query sequence differs from one-shot sq: %s", trial, diff)
+		}
 	}
+}
+
+// queryOrderDiff describes the first difference between two issued query
+// sequences ("" when they are equal).
+func queryOrderDiff(got, want []query.Q) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i].String() != want[i].String() {
+			return fmt.Sprintf("query %d is %q, want %q", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d queries, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 func TestSessionSerializationRoundTrip(t *testing.T) {

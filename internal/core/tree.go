@@ -6,21 +6,29 @@ import (
 	"hiddensky/internal/engine"
 	"hiddensky/internal/hidden"
 	"hiddensky/internal/query"
+	"hiddensky/internal/skyline"
 )
 
-// treeWalker implements the divide-and-conquer query tree shared by
-// SQ-DB-SKY (Algorithm 1) and RQ-DB-SKY (Algorithm 2). Each node is a
-// conjunctive query; a node that overflows branches into one child per
-// branching attribute, appending "A_i < t[A_i]" for the node's branching
-// tuple t. RQ mode additionally maintains the mutually-exclusive
+// treeWalker is the one implementation of the paper's divide-and-conquer
+// query tree: SQ-DB-SKY (Algorithm 1) and RQ-DB-SKY (Algorithm 2). Each
+// node is a conjunctive query; a node that overflows branches into one
+// child per branching attribute, appending "A_i < t[A_i]" for the node's
+// branching tuple t. RQ mode additionally maintains the mutually-exclusive
 // counterpart R(q) of each node (lower bounds from earlier branches) and
-// the Seen set enabling early termination.
+// the Seen set enabling early termination. One node visit serves three
+// schedulers: the FIFO queue (SQ), preorder recursion (RQ) and pool tasks
+// (parallel runs). The SQ K-skyband walk (band) and the session walk
+// (ckpt) are configurations of the sequential SQ walk.
 type treeWalker struct {
 	c     *ctx
 	base  query.Q // predicates appended to every issued query (cell phase)
 	attrs []int   // branching attribute indices, in branch order
-	me    []bool  // me[j]: attrs[j] supports ">=" and participates in R(q)
+	me    []bool  // RQ mode: me[j] says attrs[j] supports ">=" and participates in R(q)
 	rq    bool    // Algorithm 2 mode (Seen check + R(q)); false = Algorithm 1
+
+	band       *bandCollector // answer sink and branch rule of sqBandSky (nil: skyline walk)
+	incomplete bool           // a band walk met a node it could not branch on
+	ckpt       *Session       // Session.Resume's checkpoint hook, run after every answer
 
 	mu      sync.Mutex // guards seen/seenSet when sibling subtrees run in parallel
 	seen    [][]int    // every tuple returned so far (RQ mode), oldest first
@@ -28,16 +36,26 @@ type treeWalker struct {
 }
 
 // node is one query-tree node. ub[j] is the exclusive upper bound on
-// attrs[j] accumulated from "<" predicates (domain.Hi+1 when unbounded);
-// lb[j] is the inclusive lower bound of R(q) accumulated from ">="
-// predicates (domain.Lo when unbounded).
+// attrs[j] accumulated from "<" predicates (domain.Hi+1 when unbounded;
+// Plan rejects domains ending at MaxInt); lb[j] is the inclusive lower
+// bound of R(q) accumulated from ">=" predicates (domain.Lo when
+// unbounded). Only RQ mode reads lb: the SQ queue holds ub alone.
 type node struct {
 	ub []int
 	lb []int
 }
 
-func newTreeWalker(c *ctx, base query.Q, attrs []int, me []bool, rqMode bool) *treeWalker {
-	return &treeWalker{c: c, base: base, attrs: attrs, me: me, rq: rqMode}
+// newTreeWalker walks the tree over attrs below base. In RQ mode, R(q)
+// bounds from below exactly the attributes whose interface is RQ.
+func newTreeWalker(c *ctx, base query.Q, attrs []int, rqMode bool) *treeWalker {
+	w := &treeWalker{c: c, base: base, attrs: attrs, rq: rqMode}
+	if rqMode {
+		w.me = make([]bool, len(attrs))
+		for j, a := range attrs {
+			w.me[j] = c.db.Cap(a) == hidden.RQ
+		}
+	}
+	return w
 }
 
 func (w *treeWalker) root() node {
@@ -74,27 +92,26 @@ func (w *treeWalker) buildR(n node) query.Q {
 	return q
 }
 
-// children expands a node using branching tuple b: child j appends
-// "A_j < b[A_j]" to q, and (in RQ mode) "A_i >= b[A_i]" for earlier
+// child is node n's j-th child for branching tuple b: it appends
+// "A_j < b[A_j]" to q, and in RQ mode "A_i >= b[A_i]" for earlier
 // branches i < j to R(q).
-func (w *treeWalker) children(n node, b []int) []node {
-	kids := make([]node, 0, len(w.attrs))
-	for j := range w.attrs {
-		ub := append([]int(nil), n.ub...)
-		lb := append([]int(nil), n.lb...)
-		if v := b[w.attrs[j]]; v < ub[j] {
-			ub[j] = v
-		}
-		for i := 0; i < j; i++ {
-			if w.me[i] {
-				if v := b[w.attrs[i]]; v > lb[i] {
-					lb[i] = v
-				}
+func (w *treeWalker) child(n node, b []int, j int) node {
+	ub := append([]int(nil), n.ub...)
+	if v := b[w.attrs[j]]; v < ub[j] {
+		ub[j] = v
+	}
+	if !w.rq {
+		return node{ub: ub, lb: n.lb}
+	}
+	lb := append([]int(nil), n.lb...)
+	for i := 0; i < j; i++ {
+		if w.me[i] {
+			if v := b[w.attrs[i]]; v > lb[i] {
+				lb[i] = v
 			}
 		}
-		kids = append(kids, node{ub: ub, lb: lb})
 	}
-	return kids
+	return node{ub: ub, lb: lb}
 }
 
 // matchesQ reports whether tuple t satisfies the node's SQ-form query,
@@ -125,90 +142,152 @@ func (w *treeWalker) anySeenMatches(n node) bool {
 	return false
 }
 
-// run traverses the whole tree. SQ mode uses the FIFO queue of Algorithm 1;
-// RQ mode uses the depth-first preorder of Algorithm 2 (required for the
-// post-order mapping that defines R(q)).
-func (w *treeWalker) run() error {
-	if w.rq {
-		return w.walkRQ(w.root())
+// visit answers node n and returns the tuple its children branch on (nil:
+// n is a leaf). It issues n's query q, or in RQ mode R(q) once a seen
+// tuple matches q, and hands the answer to the walk's sink.
+func (w *treeWalker) visit(n node) ([]int, error) {
+	viaR := w.rq && w.anySeenMatches(n)
+	var q query.Q
+	if viaR {
+		q = w.buildR(n)
+	} else {
+		q = w.buildQ(n)
 	}
-	return w.runQueue([]node{w.root()})
+	res, err := w.c.issue(q)
+	if err != nil {
+		return nil, err
+	}
+	var b, lb []int
+	if viaR {
+		if len(res.Tuples) == 0 {
+			return nil, nil // no undiscovered tuple below this subtree: abandon
+		}
+		b, lb = res.Tuples[0], n.lb
+		if s := w.c.findDominator(b); s != nil {
+			b = s
+		}
+	}
+	if w.rq && w.c.pool != nil {
+		w.c.noteOrigin(res.Tuples, lb)
+	}
+	w.noteSeen(res.Tuples)
+	if w.band != nil {
+		w.band.add(res.Tuples)
+	} else {
+		w.c.mergeAll(res.Tuples)
+	}
+	if !w.c.overflowed(res) {
+		return nil, nil
+	}
+	if b == nil {
+		b = w.branchTuple(res.Tuples)
+	}
+	return b, nil
 }
 
-// runSeeded is run with the root node's answer already in hand (the mixed
-// algorithm's cell probe doubles as the cell tree's root query).
-func (w *treeWalker) runSeeded(root hidden.Result) error {
-	n := w.root()
+// branchTuple picks the tuple an overflowing Q answer branches on: the
+// top tuple, or in a band walk the first tuple with at least K-1
+// dominators inside the answer. Those counts are exact for answered
+// tuples: every dominator matches the (downward-closed) query and
+// outranks its dominee, so it appears earlier in the same answer.
+func (w *treeWalker) branchTuple(ts [][]int) []int {
+	if w.band == nil {
+		return ts[0]
+	}
+	for i, t := range ts {
+		cnt := 0
+		for _, u := range ts[:i] {
+			if skyline.Dominates(u, t) {
+				cnt++
+			}
+		}
+		if cnt >= w.band.k-1 {
+			return t
+		}
+	}
+	w.incomplete = true // cannot branch without risking missed band tuples
+	return nil
+}
+
+// seedBranch takes the root node's answer already in hand (the mixed
+// algorithm's cell probe doubles as the cell tree's root query; its
+// caller merged it) and returns the tuple the root branches on, or nil.
+func (w *treeWalker) seedBranch(root hidden.Result) []int {
 	w.noteSeen(root.Tuples)
 	if !w.c.overflowed(root) {
 		return nil
 	}
-	kids := w.children(n, root.Tuples[0])
-	if w.rq {
-		for _, kid := range kids {
-			if err := w.walkRQ(kid); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return w.runQueue(kids)
+	return root.Tuples[0]
 }
 
-func (w *treeWalker) runQueue(queue []node) error {
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		q := w.buildQ(n)
-		res, err := w.c.issue(q)
+// run traverses the whole tree sequentially: SQ mode uses the FIFO queue
+// of Algorithm 1, RQ mode the depth-first preorder of Algorithm 2
+// (required for the post-order mapping that defines R(q)). root, when
+// non-nil, is the root node's answer already in hand.
+func (w *treeWalker) run(root *hidden.Result) error {
+	n := w.root()
+	if root == nil {
+		if w.rq {
+			return w.walkRQ(n)
+		}
+		queue := [][]int{n.ub}
+		return w.runQueue(&queue)
+	}
+	b := w.seedBranch(*root)
+	if b == nil {
+		return nil
+	}
+	if w.rq {
+		return w.walkKids(n, b)
+	}
+	queue := w.pushKids(nil, n, b)
+	return w.runQueue(&queue)
+}
+
+// runQueue is Algorithm 1's FIFO loop over *queue, which holds the
+// pending nodes' upper bounds. A node leaves the queue only once its
+// answer has arrived, so a stopped walk leaves it pending: the session
+// walk's queue is Session.Pending.
+func (w *treeWalker) runQueue(queue *[][]int) error {
+	for len(*queue) > 0 {
+		n := node{ub: (*queue)[0]}
+		b, err := w.visit(n)
 		if err != nil {
 			return err
 		}
-		w.c.mergeAll(res.Tuples)
-		if w.c.overflowed(res) {
-			queue = append(queue, w.children(n, res.Tuples[0])...)
+		*queue = (*queue)[1:]
+		if b != nil {
+			*queue = w.pushKids(*queue, n, b)
+		}
+		if w.ckpt != nil {
+			if err := w.ckpt.answered(w.c); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// walkRQ is the recursive body of Algorithm 2.
-func (w *treeWalker) walkRQ(n node) error {
-	var branch []int
-	if !w.anySeenMatches(n) {
-		q := w.buildQ(n)
-		res, err := w.c.issue(q)
-		if err != nil {
-			return err
-		}
-		w.noteSeen(res.Tuples)
-		w.c.mergeAll(res.Tuples)
-		if !w.c.overflowed(res) {
-			return nil
-		}
-		branch = res.Tuples[0]
-	} else {
-		rq := w.buildR(n)
-		res, err := w.c.issue(rq)
-		if err != nil {
-			return err
-		}
-		if len(res.Tuples) == 0 {
-			return nil // no undiscovered tuple below this subtree: abandon
-		}
-		t0 := res.Tuples[0]
-		branch = t0
-		if s := w.c.findDominator(t0); s != nil {
-			branch = s
-		}
-		w.noteSeen(res.Tuples)
-		w.c.mergeAll(res.Tuples)
-		if !w.c.overflowed(res) {
-			return nil
-		}
+func (w *treeWalker) pushKids(queue [][]int, n node, b []int) [][]int {
+	for j := range w.attrs {
+		queue = append(queue, w.child(n, b, j).ub)
 	}
-	for _, kid := range w.children(n, branch) {
-		if err := w.walkRQ(kid); err != nil {
+	return queue
+}
+
+// walkRQ is Algorithm 2's recursion: visit n, then its subtrees in
+// preorder.
+func (w *treeWalker) walkRQ(n node) error {
+	b, err := w.visit(n)
+	if err != nil || b == nil {
+		return err
+	}
+	return w.walkKids(n, b)
+}
+
+func (w *treeWalker) walkKids(n node, b []int) error {
+	for j := range w.attrs {
+		if err := w.walkRQ(w.child(n, b, j)); err != nil {
 			return err
 		}
 	}
@@ -216,15 +295,16 @@ func (w *treeWalker) walkRQ(n node) error {
 }
 
 // runOn schedules the whole traversal as tasks on the bounded worker pool
-// and returns immediately; the caller drains the pool with Wait. Sibling
-// subtrees are independent branches of the divide-and-conquer cascade, so
-// each becomes its own task. Correctness is schedule-independent: the
-// R(q)-empty early termination is a ground-truth statement about the
-// database (no tuple of q's region lies outside the sibling cover), and
-// the branch-tuple corner cut only ever removes tuples dominated by an
-// already-merged tuple — neither depends on which subtree finishes first.
-// Query counts may differ from the sequential run (the Seen set fills in a
-// different order) but the discovered skyline is the same set.
+// and returns immediately; the caller drains the pool with Wait. root is
+// as for run. Sibling subtrees are independent branches of the
+// divide-and-conquer cascade, so each becomes its own task. Correctness is
+// schedule-independent: the R(q)-empty early termination is a ground-truth
+// statement about the database (no tuple of q's region lies outside the
+// sibling cover), and the branch-tuple corner cut only ever removes tuples
+// dominated by an already-merged tuple — neither depends on which subtree
+// finishes first. Query counts may differ from the sequential run (the
+// Seen set fills in a different order) but the discovered skyline is the
+// same set.
 //
 // A cancelled run is a different matter: an R(q) answer is skyline-safe
 // only once every subtree before it in preorder has finished, which the
@@ -232,87 +312,46 @@ func (w *treeWalker) walkRQ(n node) error {
 // RQ-mode nodes therefore stay registered with the ctx (openNode) until
 // their task completes, and a partial result drops every tuple an
 // unfinished node's region could still dominate (see ctx.result).
-func (w *treeWalker) runOn(p *engine.Pool) {
-	w.spawn(p, w.root())
-}
-
-// runSeededOn is runOn with the root node's answer already in hand (the
-// mixed algorithm's cell probe doubles as the cell tree's root query).
-func (w *treeWalker) runSeededOn(p *engine.Pool, root hidden.Result) {
+func (w *treeWalker) runOn(p *engine.Pool, root *hidden.Result) {
 	n := w.root()
-	w.noteSeen(root.Tuples)
-	if !w.c.overflowed(root) {
+	if root == nil {
+		w.spawn(p, n)
 		return
 	}
-	for _, kid := range w.children(n, root.Tuples[0]) {
-		w.spawn(p, kid)
+	if b := w.seedBranch(*root); b != nil {
+		w.spawnKids(p, n, b)
 	}
 }
 
-// spawn schedules node n's task on the pool. In RQ mode the node stays
-// open with the ctx until its task completes: children are opened
-// before their parent closes, so at any moment the open nodes' R(q)
-// regions cover every skyline tuple not yet discovered.
+// spawn schedules node n's visit on the pool, each child as its own
+// task. In RQ mode the node stays open with the ctx until its task
+// completes: children are opened before their parent closes, so at any
+// moment the open nodes' R(q) regions cover every skyline tuple not yet
+// discovered.
 func (w *treeWalker) spawn(p *engine.Pool, n node) {
 	id := 0
 	if w.rq {
 		id = w.c.openNode(w.attrs, n.lb)
 	}
 	p.Spawn(func() error {
-		err := w.task(p, n)
-		if err == nil && id != 0 {
+		b, err := w.visit(n)
+		if err != nil {
+			return err
+		}
+		if b != nil {
+			w.spawnKids(p, n, b)
+		}
+		if id != 0 {
 			w.c.closeNode(id)
 		}
-		return err
+		return nil
 	})
 }
 
-// task processes one tree node on the pool: issue the node's query (or
-// its R(q) counterpart in RQ mode) and spawn one task per child subtree.
-// It mirrors runQueue's body (SQ mode) and walkRQ's body (RQ mode)
-// exactly, with recursion replaced by spawn.
-func (w *treeWalker) task(p *engine.Pool, n node) error {
-	var branch []int
-	if !w.rq || !w.anySeenMatches(n) {
-		q := w.buildQ(n)
-		res, err := w.c.issue(q)
-		if err != nil {
-			return err
-		}
-		if w.rq {
-			w.c.noteOrigin(res.Tuples, nil)
-		}
-		w.noteSeen(res.Tuples)
-		w.c.mergeAll(res.Tuples)
-		if !w.c.overflowed(res) {
-			return nil
-		}
-		branch = res.Tuples[0]
-	} else {
-		rq := w.buildR(n)
-		res, err := w.c.issue(rq)
-		if err != nil {
-			return err
-		}
-		if len(res.Tuples) == 0 {
-			return nil // no undiscovered tuple below this subtree: abandon
-		}
-		t0 := res.Tuples[0]
-		branch = t0
-		if s := w.c.findDominator(t0); s != nil {
-			branch = s
-		}
-		w.c.noteOrigin(res.Tuples, n.lb)
-		w.noteSeen(res.Tuples)
-		w.c.mergeAll(res.Tuples)
-		if !w.c.overflowed(res) {
-			return nil
-		}
+func (w *treeWalker) spawnKids(p *engine.Pool, n node, b []int) {
+	for j := range w.attrs {
+		w.spawn(p, w.child(n, b, j))
 	}
-	for _, kid := range w.children(n, branch) {
-		w.spawn(p, kid)
-	}
-	return nil
 }
 
 func (w *treeWalker) noteSeen(ts [][]int) {
@@ -340,18 +379,7 @@ func allAttrs(m int) []int {
 // sqDBSky discovers the complete skyline through a one-ended-range (SQ)
 // interface — the paper's Algorithm 1. It also runs unchanged on RQ
 // interfaces (a strictly stronger capability).
-func sqDBSky(db Interface, opt Options) (Result, error) {
-	db, opt = prepare(db, opt)
-	c := newCtx(db, opt)
-	attrs := allAttrs(c.m)
-	w := newTreeWalker(c, nil, attrs, make([]bool, len(attrs)), false)
-	if p := c.newPool(); p != nil {
-		defer p.Close()
-		w.runOn(p)
-		return c.result(p.Wait())
-	}
-	return c.result(w.run())
-}
+func sqDBSky(db Interface, opt Options) (Result, error) { return treeDBSky(db, opt, false) }
 
 // rqDBSky discovers the complete skyline through a two-ended-range (RQ)
 // interface — the paper's Algorithm 2, which prunes subtrees whose
@@ -359,19 +387,18 @@ func sqDBSky(db Interface, opt Options) (Result, error) {
 // support one-ended ranges are handled by omitting their ">=" bounds from
 // R(q), which keeps the traversal correct (R(q) only grows, so no subtree
 // is abandoned wrongly) at some loss of pruning power.
-func rqDBSky(db Interface, opt Options) (Result, error) {
+func rqDBSky(db Interface, opt Options) (Result, error) { return treeDBSky(db, opt, true) }
+
+// treeDBSky walks the whole tree over every attribute, on a worker pool
+// when opt asks for parallelism.
+func treeDBSky(db Interface, opt Options, rqMode bool) (Result, error) {
 	db, opt = prepare(db, opt)
 	c := newCtx(db, opt)
-	attrs := allAttrs(c.m)
-	me := make([]bool, len(attrs))
-	for j, a := range attrs {
-		me[j] = db.Cap(a) == hidden.RQ
-	}
-	w := newTreeWalker(c, nil, attrs, me, true)
+	w := newTreeWalker(c, nil, allAttrs(c.m), rqMode)
 	if p := c.newPool(); p != nil {
 		defer p.Close()
-		w.runOn(p)
+		w.runOn(p, nil)
 		return c.result(p.Wait())
 	}
-	return c.result(w.run())
+	return c.result(w.run(nil))
 }

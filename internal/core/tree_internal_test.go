@@ -21,10 +21,19 @@ func fig2DB(t *testing.T, caps []hidden.Capability) *hidden.DB {
 	return mkDB(t, data, caps, 1, hidden.SumRank{})
 }
 
+// children expands node n on branching tuple b into all its children.
+func (w *treeWalker) children(n node, b []int) []node {
+	kids := make([]node, len(w.attrs))
+	for j := range kids {
+		kids[j] = w.child(n, b, j)
+	}
+	return kids
+}
+
 func TestWalkerRootBounds(t *testing.T) {
 	db := fig2DB(t, capsAll(3, hidden.SQ))
 	c := newCtx(db, Options{})
-	w := newTreeWalker(c, nil, allAttrs(3), make([]bool, 3), false)
+	w := newTreeWalker(c, nil, allAttrs(3), false)
 	root := w.root()
 	// Domains: A0 in [1,5], A1 in [1,4], A2 in [3,9]; ub is exclusive.
 	wantUB := []int{6, 5, 10}
@@ -44,7 +53,7 @@ func TestWalkerChildrenMatchPaperExample(t *testing.T) {
 	// ranking; its three branches append A0<3, A1<2, A2<3.
 	db := fig2DB(t, capsAll(3, hidden.SQ))
 	c := newCtx(db, Options{})
-	w := newTreeWalker(c, nil, allAttrs(3), make([]bool, 3), false)
+	w := newTreeWalker(c, nil, allAttrs(3), false)
 	root := w.root()
 	res, err := db.Query(nil)
 	if err != nil {
@@ -75,8 +84,7 @@ func TestWalkerMutuallyExclusiveRQ(t *testing.T) {
 	// bounds; verify R(q) renders the paper's Figure 5 construction.
 	db := fig2DB(t, capsAll(3, hidden.RQ))
 	c := newCtx(db, Options{})
-	me := []bool{true, true, true}
-	w := newTreeWalker(c, nil, allAttrs(3), me, true)
+	w := newTreeWalker(c, nil, allAttrs(3), true)
 	root := w.root()
 	kids := w.children(root, []int{3, 2, 3})
 	wantR := []string{
@@ -120,8 +128,7 @@ func TestWalkerPartialMEOnlyUsesGEWhereAllowed(t *testing.T) {
 	db := mkDB(t, [][]int{{1, 1, 1}, {2, 2, 2}},
 		[]hidden.Capability{hidden.RQ, hidden.SQ, hidden.RQ}, 1, hidden.SumRank{})
 	c := newCtx(db, Options{})
-	me := []bool{true, false, true}
-	w := newTreeWalker(c, nil, allAttrs(3), me, true)
+	w := newTreeWalker(c, nil, allAttrs(3), true)
 	kids := w.children(w.root(), []int{1, 1, 1})
 	r := w.buildR(kids[2]) // branch on A2: should carry A0 >= 1 but not A1 >= 1
 	for _, p := range r {
@@ -134,7 +141,7 @@ func TestWalkerPartialMEOnlyUsesGEWhereAllowed(t *testing.T) {
 func TestWalkerSeenMatching(t *testing.T) {
 	db := fig2DB(t, capsAll(3, hidden.RQ))
 	c := newCtx(db, Options{})
-	w := newTreeWalker(c, nil, allAttrs(3), []bool{true, true, true}, true)
+	w := newTreeWalker(c, nil, allAttrs(3), true)
 	root := w.root()
 	if w.anySeenMatches(root) {
 		t.Fatal("empty seen set matched")
@@ -161,7 +168,7 @@ func TestChildrenWithDominatorOutsideQ(t *testing.T) {
 	// clamp, not widen, the child bounds.
 	db := fig2DB(t, capsAll(3, hidden.RQ))
 	c := newCtx(db, Options{})
-	w := newTreeWalker(c, nil, allAttrs(3), []bool{true, true, true}, true)
+	w := newTreeWalker(c, nil, allAttrs(3), true)
 	n := node{ub: []int{3, 3, 3}, lb: []int{1, 1, 3}}
 	kids := w.children(n, []int{5, 1, 9})
 	if kids[0].ub[0] != 3 { // min(3, 5) = 3

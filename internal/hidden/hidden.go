@@ -495,13 +495,10 @@ func (db *DB) QueryFull(q query.Q) (Result, [][]string, error) {
 // queryInternal answers q, and with withFilters also gathers the
 // returned rows' filter values.
 func (db *DB) queryInternal(q query.Q, withFilters bool) (Result, [][]string, error) {
+	if err := q.Validate(len(db.caps)); err != nil {
+		return Result{}, nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
+	}
 	for _, p := range q {
-		if p.Attr < 0 || p.Attr >= len(db.caps) {
-			return Result{}, nil, fmt.Errorf("%w: attribute A%d out of range", ErrBadQuery, p.Attr)
-		}
-		if !p.Op.Valid() {
-			return Result{}, nil, fmt.Errorf("%w: bad operator", ErrBadQuery)
-		}
 		if !db.caps[p.Attr].Allows(p.Op) {
 			return Result{}, nil, fmt.Errorf("%w: A%d is %s, operator %s",
 				ErrUnsupportedPredicate, p.Attr, db.caps[p.Attr], p.Op)

@@ -42,6 +42,7 @@ package qcache
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -502,6 +503,10 @@ func (d *DB) canonKey(dst []byte, scratch []query.Interval, q query.Q) ([]byte, 
 // caller (two: the row slice and one flat backing array). A miss adds
 // its key and its entry, and a channel once another caller coalesces.
 func (d *DB) Query(q query.Q) (hidden.Result, error) {
+	// A malformed query has no box: its key would be another query's.
+	if err := q.Validate(len(d.domains)); err != nil {
+		return hidden.Result{}, fmt.Errorf("%w: %w", hidden.ErrBadQuery, err)
+	}
 	var keyArr [keyStackBytes]byte
 	var ivArr [keyStackAttrs]query.Interval
 	key, fp := d.canonKey(keyArr[:0], ivArr[:0], q)

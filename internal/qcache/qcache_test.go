@@ -102,6 +102,24 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if got := v.Cache().Len(); got != 0 {
 		t.Fatalf("cache holds %d entries after only failed queries", got)
 	}
+	// A query the database rejects as malformed is rejected by the view
+	// too, even once the unconstrained box it would canonicalize to is
+	// cached.
+	if _, err := v.Query(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []query.Q{
+		{{Attr: 0, Op: query.Op(9), Value: 1}},
+		{{Attr: 7, Op: query.LT, Value: 1}},
+		{{Attr: -1, Op: query.LT, Value: 1}},
+	} {
+		if _, err := db.Query(bad); !errors.Is(err, hidden.ErrBadQuery) {
+			t.Fatalf("database answered %v with %v, want ErrBadQuery", bad, err)
+		}
+		if res, err := v.Query(bad); !errors.Is(err, hidden.ErrBadQuery) || len(res.Tuples) != 0 {
+			t.Errorf("view answered %v with %d rows, %v; want ErrBadQuery", bad, len(res.Tuples), err)
+		}
+	}
 }
 
 func TestLRUEviction(t *testing.T) {

@@ -8,6 +8,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -91,6 +92,22 @@ func (q Q) Matches(tuple []int) bool {
 		}
 	}
 	return true
+}
+
+// Validate reports the first predicate of q that an interface over m
+// attributes cannot evaluate: an attribute outside [0, m) or an
+// undefined operator. Boxes and cache keys derived from a query that
+// fails it mean nothing (CanonicalizeInto skips such predicates).
+func (q Q) Validate(m int) error {
+	for _, p := range q {
+		if p.Attr < 0 || p.Attr >= m {
+			return fmt.Errorf("attribute A%d out of range", p.Attr)
+		}
+		if !p.Op.Valid() {
+			return errors.New("bad operator")
+		}
+	}
+	return nil
 }
 
 // With returns a new query that appends predicate p to q, leaving q intact.
