@@ -2,11 +2,11 @@ package answer
 
 // The named hot-path benchmarks of the read stack (run with -benchmem;
 // CI compiles them every push). BenchmarkStoreTopKUnfiltered must stay
-// at 0 allocs/op — that is the arena path's contract. The *Reference
-// variants measure the retained seed implementation on the same store,
-// so the before/after gap is visible from `go test -bench` alone (the
-// committed BENCH_PR5.json numbers come from cmd/skyperf, which drives
-// the same pairs under concurrent load).
+// at 0 allocs/op — that is the kernel's contract, which
+// TestTopKAppendReusesBuffer pins. The *Reference variants measure the
+// retained seed implementation on the same store, so the before/after
+// gap is visible from `go test -bench` alone; TestReadPathRatios gates
+// the B=16 batch sweep against it.
 
 import (
 	"math/rand"
@@ -180,8 +180,8 @@ func BenchmarkStoreTopKSharded(b *testing.B) {
 	}
 }
 
-// batchBenchWeights builds B distinct weight vectors (the skyperf
-// rotation: deterministic, all positive, no two collinear).
+// batchBenchWeights builds B distinct weight vectors (deterministic,
+// all positive, no two collinear).
 func batchBenchWeights(m, bsz int) [][]float64 {
 	rng := rand.New(rand.NewSource(79))
 	ws := make([][]float64, bsz)
@@ -196,9 +196,12 @@ func batchBenchWeights(m, bsz int) [][]float64 {
 }
 
 // BenchmarkStoreTopKBatch is the headline batch figure: one op answers
-// B=16 distinct weight vectors in one fused sweep. Compare ns/op with
-// BenchmarkStoreTopKBatchSingleLoop (the same 16 vectors as 16
-// TopKAppend calls) — the acceptance floor is a 3x gap.
+// B distinct weight vectors in one fused sweep. At B=16 compare ns/op
+// with BenchmarkStoreTopKBatchSingleLoop, the same 16 vectors as 16
+// TopKAppend calls: both run the fused kernel, so the two stay within
+// ~30% of each other on a 2-vCPU VM and no test bounds their gap. The
+// batch's gain is over the retained reference path, which
+// TestReadPathRatios gates.
 func BenchmarkStoreTopKBatch(b *testing.B) {
 	for _, bsz := range []int{1, 16, 256} {
 		b.Run(sizeName(bsz), func(b *testing.B) {

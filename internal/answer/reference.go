@@ -1,14 +1,14 @@
 package answer
 
 // The retained reference implementation of TopK. This is the seed's
-// row-major, allocating hot path, kept verbatim so that
+// row-major, allocating hot path, kept verbatim as an oracle:
 //
-//   - the parity suites (answer parity tests, run under -race) can
-//     prove the arena/columnar fast path observationally identical on
-//     randomized stores, and
-//   - the perf harness (internal/perf, cmd/skyperf, scripts/bench.sh)
-//     can measure the fast path against the exact "before" it replaced
-//     — same store, same request, same machine.
+//   - the parity suites (answer parity tests, run under -race) prove
+//     the fused kernel observationally identical on randomized stores;
+//   - TestReadPathRatios bounds the B=16 batch sweep's per-vector speed
+//     against it on the same store and machine;
+//   - perfbench's answer_http workload computes the expected answer of
+//     every request with it.
 //
 // It is not called by any serving path.
 

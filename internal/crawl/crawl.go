@@ -165,7 +165,8 @@ func (c *crawler) crawlBox(box []query.Interval) error {
 		}
 		p := pivotTuple[i]
 		// Candidate split: [lo, p-1] and [p, hi]; fall back to the middle
-		// when the pivot value sits on the lower edge.
+		// when the pivot value sits on the lower edge. Len saturates at
+		// MaxInt, so Lo+Len/2 lies in (Lo, Hi] even across all of int.
 		if p <= iv.Lo {
 			p = iv.Lo + iv.Len()/2
 		}

@@ -3,6 +3,7 @@ package crawl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -205,6 +206,39 @@ func TestCrawlOnBatchObservesEveryTuple(t *testing.T) {
 	for _, tup := range res.Tuples {
 		if !seen[fmt.Sprint(tup)] {
 			t.Fatalf("tuple %v crawled but never observed by OnBatch", tup)
+		}
+	}
+}
+
+// TestCrawlIntEdgeDomains crawls domains whose width does not fit in an
+// int: one ending at MaxInt and one spanning all of int. The split must
+// still find the widest attribute and halve it, so every tuple comes
+// back, not just the top-k of the whole box.
+func TestCrawlIntEdgeDomains(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data [][]int
+	}{
+		{"ends at MaxInt", [][]int{{0, 0}, {1, 0}, {2, 0}, {math.MaxInt, 0}}},
+		{"all of int", [][]int{{math.MinInt, 0}, {-1, 0}, {0, 0}, {1, 0}, {math.MaxInt, 0}}},
+	} {
+		db, err := hidden.New(hidden.Config{Data: tc.data, Caps: capsRQ(2), K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Crawl(db, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Complete || len(res.Tuples) != len(tc.data) {
+			t.Fatalf("%s: complete=%v with %d of %d tuples after %d queries",
+				tc.name, res.Complete, len(res.Tuples), len(tc.data), res.Queries)
+		}
+		want, got := valueSet(tc.data), valueSet(res.Tuples)
+		for v := range want {
+			if !got[v] {
+				t.Fatalf("%s: missing tuple %s", tc.name, v)
+			}
 		}
 	}
 }

@@ -1,18 +1,13 @@
 package qcache
 
-// The retained reference implementation of the cache. This is the
-// seed's single-global-mutex design, kept verbatim so that
-//
-//   - the parity suites can prove the sharded cache observationally
-//     identical (same answers, same exact hit/miss/coalesced
-//     accounting) under concurrent load, and
-//   - the perf harness (cmd/skyperf, scripts/bench.sh) can measure the
-//     sharded cache against the exact "before" it replaced: one mutex
-//     serializing every lookup, LRU move and stats bump; a strconv
-//     string key and a canonical-box allocation per lookup; and the
-//     defensive result copy performed while holding the lock.
-//
-// It is not used by any serving path.
+// The retained reference implementation of the cache: the seed's
+// single-global-mutex design (one mutex over every lookup, LRU move and
+// stats bump; a strconv string key per lookup; the defensive result
+// copy made under the lock), kept verbatim as the oracle of the parity
+// suite in shard_test.go, which proves the sharded cache
+// observationally identical to it (same answers, same exact
+// hit/miss/coalesced accounting) under concurrent load. It is test
+// code only.
 
 import (
 	"strconv"

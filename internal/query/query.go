@@ -155,12 +155,18 @@ type Interval struct {
 // Empty reports whether the interval contains no integers.
 func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
 
-// Len returns the number of integers in the interval (0 when empty).
+// Len returns the number of integers in the interval (0 when empty),
+// saturating at math.MaxInt: an interval wider than that (one from 0 to
+// MaxInt, or all of int) has more integers than an int can count. The
+// difference Hi-Lo is exact in uint, whatever the signs of the ends.
 func (iv Interval) Len() int {
 	if iv.Empty() {
 		return 0
 	}
-	return iv.Hi - iv.Lo + 1
+	if n := uint(iv.Hi-iv.Lo) + 1; n != 0 && n <= math.MaxInt {
+		return int(n)
+	}
+	return math.MaxInt
 }
 
 // Contains reports whether v lies inside the interval.

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -110,6 +111,23 @@ func TestIntervals(t *testing.T) {
 	}
 	if !iv.Intersect(Interval{6, 9}).Empty() {
 		t.Error("disjoint intersect should be empty")
+	}
+	// Widths past MaxInt saturate instead of wrapping negative.
+	for _, c := range []struct {
+		iv   Interval
+		want int
+	}{
+		{Interval{math.MinInt, -1}, math.MaxInt},
+		{Interval{math.MinInt + 1, -1}, math.MaxInt},
+		{Interval{math.MinInt + 2, -1}, math.MaxInt - 1},
+		{Interval{0, math.MaxInt}, math.MaxInt},
+		{Interval{-1, math.MaxInt}, math.MaxInt},
+		{Interval{math.MinInt, math.MaxInt}, math.MaxInt},
+		{Interval{math.MaxInt, math.MaxInt}, 1},
+	} {
+		if got := c.iv.Len(); got != c.want {
+			t.Errorf("%+v.Len() = %d, want %d", c.iv, got, c.want)
+		}
 	}
 }
 
